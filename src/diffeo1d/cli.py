@@ -29,7 +29,6 @@ from .distortion import (
     build_interval_certificate,
     commutator_curvature,
     distortion_report,
-    flow_root_decomposition,
 )
 from .fields import VectorField1D
 from .grid import GridFunction, GridSpec
@@ -244,14 +243,12 @@ def _task_curvature(objects, task, flags):
 _TASKS = {
     "eval": _task_eval,
     "var": _task_var,
-    "var_log_derivative": _task_var,
     "asymvar": _task_asymvar,
     "liouville": _task_liouville,
     "mather": _task_mather,
     "conjugate": _task_conjugate,
     "flatten": _task_flatten,
     "reduce": _task_reduce,
-    "reduce_interval": _task_reduce,
     "certify": _task_certify,
     "report": _task_report,
     "curvature": _task_curvature,
@@ -307,7 +304,7 @@ def run_tasks(scene: dict, tasks: list, flags, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, task in enumerate(tasks):
         cmd = _canon(task["command"])
-        if cmd not in _TASKS or cmd in _ALIASES:
+        if cmd not in _TASKS:
             raise SchemaError(f"task {i}: unknown command {task['command']!r}")
         name = task.get("name", f"{cmd}_{i}")
         try:
@@ -360,9 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--svg", action="store_true",
                        help="also emit SVG plots where a task samples a curve")
-        p.add_argument("--parallel", action="store_true",
-                       help="accepted for forward compatibility; tasks "
-                            "currently run sequentially")
         for key in keys:
             p.add_argument(f"--{key.replace('_', '-')}", dest=key,
                            default=None)

@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .fields import Circle, Interval, VectorField1D
@@ -533,79 +532,3 @@ class CircleFromInterval(Diffeo1D):
 
     def children(self):
         return (self.child,)
-
-
-# ---------------------------------------------------------------------------
-# fast tabulated evaluation
-# ---------------------------------------------------------------------------
-
-
-class FastDiffeo(Diffeo1D):
-    """Spline tabulation of a diffeo on an interval, for value-heavy work
-    such as certificate verification.  Forward and inverse are cubic splines
-    through n sample nodes; accuracy is O(h^4) of the sampled map."""
-
-    kind = "fast"
-
-    def __init__(self, f: Diffeo1D, n: int = 4097, domain=None):
-        self.domain = domain or f.domain
-        lo, hi = self.domain.lo, self.domain.hi
-        xs = np.linspace(lo, hi, n)
-        ys = np.array([f(float(x)) for x in xs])
-        if np.any(np.diff(ys) <= 0):
-            raise ValueError("sampled map is not strictly increasing")
-        self._fwd = CubicSpline(xs, ys)
-        self._inv = CubicSpline(ys, xs)
-        self._range = (float(ys[0]), float(ys[-1]))
-
-    @staticmethod
-    def from_callable(fn, domain=Interval(), n: int = 4097):
-        class _Wrap(Diffeo1D):
-            def __init__(self):
-                self.domain = domain
-
-            def eval_jet(self, x, r):
-                if r != 0:
-                    raise JetError("callable wrapper is value-only")
-                return Jet(x, 0, (fn(x),))
-
-        return FastDiffeo(_Wrap(), n, domain)
-
-    def eval_jet(self, x, r):
-        x = min(max(x, self.domain.lo), self.domain.hi)
-        derivs = [float(self._fwd(x, k)) for k in range(r + 1)]
-        return Jet(x, r, tuple(derivs))
-
-    def inverse_value(self, y):
-        y = min(max(y, self._range[0]), self._range[1])
-        return float(self._inv(y))
-
-
-# ---------------------------------------------------------------------------
-# consistency checks
-# ---------------------------------------------------------------------------
-
-
-def check_orientation(f: Diffeo1D, grid=None) -> bool:
-    """First derivative positive on the grid."""
-    if grid is None:
-        lo, hi = (0.0, 1.0) if f.domain.is_circle else (f.domain.lo, f.domain.hi)
-        grid = np.linspace(lo, hi, 129)
-    return all(f.eval_jet(float(x), 1).d1 > 0.0 for x in grid)
-
-
-def check_fixed_endpoints(f: Diffeo1D, tol=1e-9) -> bool:
-    lo, hi = f.domain.lo, f.domain.hi
-    return abs(f(lo) - lo) <= tol and abs(f(hi) - hi) <= tol
-
-
-def check_circle_degree(f: Diffeo1D, tol=1e-10, r=3) -> bool:
-    """Lift periodicity F(x+1) = F(x)+1, all derivative orders."""
-    for x in (0.1, 0.37, 0.75):
-        a = f.eval_jet(x, r)
-        b = f.eval_jet(x + 1.0, r)
-        if abs(b.value - a.value - 1.0) > tol:
-            return False
-        if any(abs(u - v) > tol for u, v in zip(a.coeffs[1:], b.coeffs[1:])):
-            return False
-    return True

@@ -425,13 +425,14 @@ def distortion_report(f: Diffeo1D, n_list, eta: float,
     against 2^n decays like (2n+1)/2^n.
     """
     base = flow_root_decomposition(f, eta)
+    if conjugacy_record is not None:
+        doubled = certificate_algebra("conjugate", base, conjugacy_record)
     rows = []
     for n in n_list:
         rec = certificate_algebra("power", base, n=n)
         row = {"n": n, "A_upper": rec.recorded_A_upper,
                "ratio": rec.recorded_A_upper / n}
         if conjugacy_record is not None:
-            doubled = certificate_algebra("conjugate", base, conjugacy_record)
             a_pow = (base.recorded_A_upper
                      + 2 * n * conjugacy_record.recorded_A_upper)
             row["bs_A_upper"] = a_pow

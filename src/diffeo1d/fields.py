@@ -17,7 +17,6 @@ import numpy as np
 from .jets import (
     Jet,
     jet_add,
-    jet_apply_smooth,
     jet_exp,
     jet_mul,
     jet_reciprocal,
@@ -447,7 +446,7 @@ class PiecewiseField(VectorField1D):
 
 
 # ---------------------------------------------------------------------------
-# norms and zero-set checks
+# norms
 # ---------------------------------------------------------------------------
 
 
@@ -462,21 +461,6 @@ def field_norm(X: VectorField1D, r: int, grid=None) -> float:
         if m > best:
             best = m
     return best
-
-
-def check_declared_zeros(X: VectorField1D, grid=None, tol=1e-12) -> bool:
-    """Declared zeros evaluate below tol; off-zero grid nodes are nonzero."""
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, 257)
-    for z in X.zeros:
-        if abs(X(z)) >= tol:
-            return False
-    for x in grid:
-        if any(abs(x - z) < 1e-3 for z in X.zeros):
-            continue
-        if X(float(x)) == 0.0:
-            return False
-    return True
 
 
 class PeriodicField(VectorField1D):

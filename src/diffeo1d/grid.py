@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet
+from .serialize import SerializeError, dumps
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,12 @@ class GridFunction:
         xs = spec.nodes()
         jets = [f.eval_jet(float(x), r) for x in xs]
         if not source:
+            try:
+                key = dumps(f)
+            except SerializeError:
+                key = type(f).__name__
             source = hashlib.sha256(
-                repr((type(f).__name__, spec.describe(), r)).encode()
+                repr((key, spec.describe(), r)).encode()
             ).hexdigest()[:16]
         return GridFunction(xs, jets, source)
 

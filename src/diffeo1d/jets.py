@@ -88,11 +88,6 @@ class Jet:
             coeffs[1] = 1.0
         return Jet(base_point, order, tuple(coeffs))
 
-    @staticmethod
-    def variable(base_point: float, order: int) -> "Jet":
-        """Jet of ``x -> x``; alias kept for readability at call sites."""
-        return Jet.identity(base_point, order)
-
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
             raise JetError(f"cannot extend jet of order {self.order} to {order}")
@@ -249,8 +244,3 @@ def jet_log(u: Jet) -> Jet:
     for k in range(1, u.order + 1):
         derivs.append(((-1.0) ** (k - 1)) * _FACTORIALS[k - 1] / v**k)
     return jet_apply_smooth(derivs, u)
-
-
-def jet_abs_value_bound(a: Jet) -> float:
-    """Max absolute coefficient; crude C^r-norm contribution of one jet."""
-    return max(abs(c) for c in a.coeffs)

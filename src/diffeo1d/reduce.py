@@ -23,11 +23,11 @@ from .diffeos import (
     FlowMap,
     Homothety,
     Identity,
+    InverseMap,
     PiecewiseGlue,
     Power,
     Rotation,
     flow,
-    transit_time,
 )
 from .fields import (
     AffinePushforwardField,
@@ -47,8 +47,8 @@ from .fields import (
     field_norm,
 )
 from .grid import GridSpec
-from .jets import MAX_ORDER, Jet, jet_apply_smooth, jet_exp, jet_scale
-from .metrics import cr_distance, rotation_number
+from .jets import MAX_ORDER, Jet, jet_exp, jet_scale
+from .metrics import cr_distance
 
 
 class ReduceError(RuntimeError):
@@ -375,38 +375,18 @@ def _scan_points(x_max: float, floor: float = 1e-12, ratio: float = 0.85):
         x *= ratio
 
 
-def regularity_point_search(X: VectorField1D, f: Diffeo1D, r: int,
-                            delta: float, x_max: float) -> float:
-    """First point of a geometric scan toward 0 where the field norm on the
-    four-iterate window is dominated by a power of the step size, and the
-    field value at the point is at least half the step."""
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    best = None
-    for x0 in _scan_points(x_max):
-        ok, margins = _regularity_margins(X, f, r, delta, x0)
-        if ok:
-            return x0
-        if best is None or margins["worst"] > best["worst"]:
-            best = {"x0": x0, **margins}
-    raise ReduceError(f"no regularity point found above 1e-12; best: {best}")
-
-
-def _regularity_margins(X, f, r, delta, x0):
-    d_fwd = f(x0) - x0
-    d_back = x0 - f.inverse_value(x0)
-    lo = f.inverse_value(f.inverse_value(x0))
-    hi = f(f(x0))
+def _regularity_holds(X, fwd, back, r, delta, x0):
+    """The regularity inequalities at x0: the field norm on the four-iterate
+    window is dominated by a power of the step size, and the field value at
+    x0 is at least half the step."""
+    d_fwd = fwd(x0) - x0
+    d_back = x0 - back(x0)
+    lo = back(back(x0))
+    hi = fwd(fwd(x0))
     norm_w = field_norm(X, r, np.linspace(lo, hi, 33))
     bound = min(abs(d_fwd), abs(d_back)) ** (1.0 - delta)
-    vx = abs(X(x0))
     need = 0.5 * max(abs(d_fwd), abs(d_back))
-    margins = {
-        "norm_margin": bound - norm_w,
-        "value_margin": vx - need,
-        "worst": min(bound - norm_w, vx - need),
-    }
-    return (norm_w <= bound and vx >= need), margins
+    return norm_w <= bound and abs(X(x0)) >= need
 
 
 def _build_taper(X, x0, d, r, delta):
@@ -451,9 +431,7 @@ def interpolate_ITI(X: VectorField1D, f: Diffeo1D, eta: float, r: int,
         if d <= 0:
             # the step has underflowed: no usable points further in
             break
-        ok, margins = _regularity_margins(
-            X, _CallablePair(fwd, back), r, delta, x0)
-        if not ok:
+        if not _regularity_holds(X, fwd, back, r, delta, x0):
             continue
         if strict:
             c1 = d**delta < eta
@@ -472,19 +450,6 @@ def interpolate_ITI(X: VectorField1D, f: Diffeo1D, eta: float, r: int,
         if best is None or norm_y < best[0]:
             best = (norm_y, x0, nonvanishing)
     raise ReduceError(f"interpolation scan failed; best norm {best}")
-
-
-class _CallablePair:
-    """Adapter so the regularity check can consume raw step callables."""
-
-    def __init__(self, fwd, back):
-        self._fwd, self._back = fwd, back
-
-    def __call__(self, x):
-        return self._fwd(x)
-
-    def inverse_value(self, x):
-        return self._back(x)
 
 
 def interpolate_right(X: VectorField1D, f: Diffeo1D, eta: float, r: int,
@@ -646,41 +611,16 @@ class ReductionInput:
         return left, right
 
 
-def _tag_residual_identity(phi, pts, r):
-    return max(
-        max(abs(a - b) for a, b in
-            zip(phi.eval_jet(float(x), r).coeffs,
-                Jet.identity(float(x), r).coeffs))
-        for x in pts)
+def _jet_mismatch(phi, ref, pts, r):
+    """Worst jet mismatch between phi and ref at the points pts.
 
-
-def _tag_residual_power(phi, f, n, pts, r, X=None):
-    """Worst jet mismatch between phi and the n-th iterate of f.
-
-    For large |n| the iterate is evaluated through the integer-time flow of
-    the generating field (identical to the iterate for a time-1 map; the
-    identity itself is covered by the flow tests), since composing
-    thousands of jets is prohibitively slow.
+    A power-of-f tag takes ref = FlowMap(X, n): f is the time-1 map of X,
+    so f^n is the time-n map, one flow in place of |n| jet compositions.
     """
-    if X is not None and abs(n) > 64:
-        def fn_jet(x, r):
-            return flow(X, float(n), x, r)
-    else:
-        fn = Power(f, n)
-        fn_jet = fn.eval_jet
     return max(
         max(abs(a - b) for a, b in
             zip(phi.eval_jet(float(x), r).coeffs,
-                fn_jet(float(x), r).coeffs))
-        for x in pts)
-
-
-def _tag_residual_homothety(phi, center, ratio, pts, r):
-    H = Homothety(center, ratio)
-    return max(
-        max(abs(a - b) for a, b in
-            zip(phi.eval_jet(float(x), r).coeffs,
-                H.eval_jet(float(x), r).coeffs))
+                ref.eval_jet(float(x), r).coeffs))
         for x in pts)
 
 
@@ -719,14 +659,14 @@ def _sigma_quad(X, X_other, lo, hi, pts):
     return val
 
 
-def _boundary_tags_iti(phi, f, X, x0, x1, sigma_int, r):
+def _boundary_tags_iti(phi, X, x0, x1, sigma_int, r):
     pts0 = [x0 / 4, x0 / 2, 3 * x0 / 4]
     # the power-of-f identity holds where the sigma-iterate stays right of
     # the prepared span, so start the check past the shifted image of x1
     lo = flow(X, max(0.0, -float(sigma_int)), x1, 0).value
     pts1 = lo + (1.0 - lo) * np.array([0.25, 0.5, 0.75])
-    res0 = _tag_residual_identity(phi, pts0, r)
-    res1 = _tag_residual_power(phi, f, sigma_int, pts1, r, X=X)
+    res0 = _jet_mismatch(phi, Identity(), pts0, r)
+    res1 = _jet_mismatch(phi, FlowMap(X, float(sigma_int)), pts1, r)
     return [BoundaryTag(0.0, "identity", 0.0, res0),
             BoundaryTag(1.0, "power_of_f", float(sigma_int), res1)]
 
@@ -805,7 +745,7 @@ def _reduce_case1(X, f, eta_flow, r, eta_prep):
     if abs(sigma_a - sigma_b) > max(1e-7, 1e-9 * abs(sigma_a)):
         raise ReduceError(
             f"offset bookkeeping mismatch: {sigma_a} vs {sigma_b}")
-    tags = _boundary_tags_iti(phi, f, X, x0, x1, sigma_int, r)
+    tags = _boundary_tags_iti(phi, X, x0, x1, sigma_int, r)
     d_iso = cr_distance(g, Identity(), r, GridSpec(0.0, 1.0, 128))
     return ReductionStep(
         conjugator=phi, conjugate=g, dr_to_isometry=d_iso, r=r,
@@ -835,10 +775,11 @@ def reduce_no_interior_ITI(f_data, epsilon: float, r: int) -> ReductionStep:
         pts0 = [1e-3 / fl.lam, 1e-2 / fl.lam]
         tags = [
             BoundaryTag(0.0, "homothety", fl.lam,
-                        _tag_residual_homothety(fl.phi, 0.0, fl.lam, pts0, r)),
+                        _jet_mismatch(fl.phi, Homothety(0.0, fl.lam),
+                                      pts0, r)),
             BoundaryTag(1.0, "homothety", fl.lam,
-                        _tag_residual_homothety(fl.phi, 1.0, fl.lam,
-                                                [1.0 - p for p in pts0], r)),
+                        _jet_mismatch(fl.phi, Homothety(1.0, fl.lam),
+                                      [1.0 - p for p in pts0], r)),
         ]
         return ReductionStep(
             conjugator=fl.phi, conjugate=FlowMap(fl.Y, 1.0),
@@ -1016,9 +957,9 @@ def _reduce_case2(X, f, eta_flow, r, eta_prep, lam_max=2 ** 20):
     pts1 = lo1 + (1.0 - lo1) * np.array([0.25, 0.5, 0.75])
     tags = [
         BoundaryTag(0.0, "power_of_f", float(k0),
-                    _tag_residual_power(phi, f, k0, pts0, r, X=X)),
+                    _jet_mismatch(phi, FlowMap(X, float(k0)), pts0, r)),
         BoundaryTag(1.0, "power_of_f", float(k1),
-                    _tag_residual_power(phi, f, k1, pts1, r, X=X)),
+                    _jet_mismatch(phi, FlowMap(X, float(k1)), pts1, r)),
     ]
     d_iso = cr_distance(g, Identity(), r, GridSpec(0.0, 1.0, 128))
     return ReductionStep(
@@ -1119,10 +1060,10 @@ def _flatten_blocks(X, zeros, epsilon, r):
     pts0 = [1e-3 / lam_star, 1e-2 / lam_star]
     tags = [
         BoundaryTag(0.0, "homothety", lam_star,
-                    _tag_residual_homothety(phi, 0.0, lam_star, pts0, r)),
+                    _jet_mismatch(phi, Homothety(0.0, lam_star), pts0, r)),
         BoundaryTag(1.0, "homothety", lam_star,
-                    _tag_residual_homothety(phi, 1.0, lam_star,
-                                            [1.0 - p for p in pts0], r)),
+                    _jet_mismatch(phi, Homothety(1.0, lam_star),
+                                  [1.0 - p for p in pts0], r)),
     ]
     g = FlowMap(Y, 1.0)
     d_iso = _blockwise_d_iso(
@@ -1310,7 +1251,7 @@ def normalize_rational(f: Diffeo1D, p: int, q: int) -> NormalizationResult:
     jet_gap = phi.check_gluing(r=2, tol=float("inf"))
     if jet_gap > 1e-7:
         raise ReduceError(f"conjugator jets mismatch at arc ends: {jet_gap}")
-    normalized = Compose(phi, f, CircleInverse(phi))
+    normalized = Compose(phi, f, InverseMap(phi))
     # the conjugation sweeps every copy of the perturbation into the arc
     # where the piece index wraps from q-1 back to 0; elsewhere the normal
     # form is the bare rotation
@@ -1320,27 +1261,3 @@ def normalize_rational(f: Diffeo1D, p: int, q: int) -> NormalizationResult:
     return NormalizationResult(normalized, phi, 2,
                                {"jet_gap": jet_gap, "off_arc_residual": res,
                                 "carrier_arc": m_star})
-
-
-class CircleInverse(Diffeo1D):
-    """Inverse of a circle diffeomorphism through its inverse_value."""
-
-    kind = "circle_inverse"
-
-    def __init__(self, child):
-        self.child = child
-        self.domain = child.domain
-
-    def eval_jet(self, x, r):
-        from .jets import jet_invert
-        pre = self.child.inverse_value(float(x))
-        return jet_invert(self.child.eval_jet(pre, r))
-
-    def inverse_value(self, y):
-        return self.child(float(y))
-
-    def inverse(self):
-        return self.child
-
-    def children(self):
-        return (self.child,)

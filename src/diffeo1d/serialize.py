@@ -11,8 +11,8 @@ children are diffeomorphisms), so deserialization is driven by the two
 entry points :func:`field_from_json` and :func:`diffeo_from_json`.
 
 Derived nodes whose state is not captured by ``params``/``children`` (orbit
-and transit conjugators, general pushforwards, tabulated maps) are not
-serializable and raise :class:`SerializeError`.
+and transit conjugators, general pushforwards) are not serializable and
+raise :class:`SerializeError`.
 """
 
 from __future__ import annotations

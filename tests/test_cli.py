@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from diffeo1d import cli
-from diffeo1d.diffeos import FlowMap, Identity
+from diffeo1d.diffeos import FlowMap, Identity, Moebius
 from diffeo1d.fields import PolynomialField
 from diffeo1d.reduce import ReduceError, ReductionStep, ReductionTrace
 from diffeo1d.serialize import to_json
@@ -65,6 +65,17 @@ def test_flag_assembled_task(basic_scene, tmp_path):
                      "--out", str(out), "--object", "f"]) == 0
     report = json.loads((out / "var_0.json").read_text())
     assert report["var_log_derivative"] > 0.0
+
+
+def test_var_log_derivative_alias_runs_under_var(tmp_path):
+    scene = write_scene(
+        tmp_path / "s.json", {"m": ("diffeo", Moebius(2.0, 0.0, 1.0, 1.0))},
+        [{"command": "var_log_derivative", "name": "alias", "object": "m"},
+         {"command": "var", "name": "plain", "object": "m"}])
+    out = tmp_path / "out"
+    assert cli.main(["var", "--scene", str(scene), "--out", str(out)]) == 0
+    assert ((out / "alias.json").read_bytes()
+            == (out / "plain.json").read_bytes())
 
 
 def test_undefined_object_is_schema_error(tmp_path, capsys):

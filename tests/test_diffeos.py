@@ -159,13 +159,16 @@ def test_rotation_lift_degree_one():
 def test_circle_from_interval_lift_periodicity():
     g = CircleFromInterval(FlowMap(ScaledField(BumpField(0.1, 0.3, 0.6, 0.9),
                                                0.05), 1.0))
+    for h in (g, InverseMap(g)):
+        for v in (0.2, 0.55, 0.8):
+            a = h.eval_jet(v, 2)
+            b = h.eval_jet(v + 1.0, 2)
+            assert abs(b.value - a.value - 1.0) < 1e-10
+            assert abs(b.d1 - a.d1) < 1e-10
+            assert abs(b.coeffs[2] - a.coeffs[2]) < 1e-10
+            assert abs(h.inverse_value(h(v)) - v) < 1e-10
     for v in (0.2, 0.55, 0.8):
-        a = g.eval_jet(v, 2)
-        b = g.eval_jet(v + 1.0, 2)
-        assert abs(b.value - a.value - 1.0) < 1e-10
-        assert abs(b.d1 - a.d1) < 1e-10
-        assert abs(b.coeffs[2] - a.coeffs[2]) < 1e-10
-        assert abs(g.inverse_value(g(v)) - v) < 1e-10
+        assert abs(InverseMap(g)(g(v)) - v) < 1e-10
 
 
 def test_piecewise_glue_dispatch_and_gluing():
