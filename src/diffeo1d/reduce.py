@@ -85,7 +85,7 @@ class FlattenConjugator(Diffeo1D):
 
     kind = "flatten_conjugator"
 
-    def __init__(self, lam: float, band_nodes: int = 257):
+    def __init__(self, lam: float):
         if lam <= 2.0:
             raise ValueError("flatten conjugator needs lam > 2")
         self.lam = float(lam)
@@ -115,7 +115,7 @@ class FlattenConjugator(Diffeo1D):
         # the plateau part of the band is exactly linear; only the drop
         # layer needs a cumulative cache, served by a spline thereafter
         self._drop_lo = self.a + self.plateau * (self.b - self.a)
-        xs = np.linspace(self._drop_lo, self.b, band_nodes)
+        xs = np.linspace(self._drop_lo, self.b, 257)
         vals = [0.25 + self._corr * lam * (self._drop_lo - self.a)]
         for x0, x1 in zip(xs[:-1], xs[1:]):
             seg, _ = quad(self._dphi_band, x0, x1, epsabs=1e-16,
@@ -277,14 +277,15 @@ def _flatten_Y(X_lam, rho, u: float) -> VectorField1D:
     return Y
 
 
-def flatten_field(X: VectorField1D, eta: float, r: int, lam: float = None,
-                  lam_max: float = 2.0**16) -> FlattenResult:
+def flatten_field(X: VectorField1D, eta: float, r: int,
+                  lam: float = None) -> FlattenResult:
     """Conjugate X by a large-ratio boundary homothety so the pushed-forward
     field interpolates to a C^r-small field with matching transit time.
 
     X must vanish exactly at 0 and 1 with vanishing derivative there.  When
-    ``lam`` is not supplied, ratios are swept geometrically until the norm
-    target is met (the threshold ratio exists but has no formula).
+    ``lam`` is not supplied, ratios are swept geometrically, up to 2^16,
+    until the norm target is met (the threshold ratio exists but has no
+    formula); a supplied ``lam`` is tried alone.
     """
     for z in (0.0, 1.0):
         j = X.eval_jet(z, 1)
@@ -294,7 +295,7 @@ def flatten_field(X: VectorField1D, eta: float, r: int, lam: float = None,
     sweep = []
     trial = 4.0 if lam is None else lam
     chosen = None
-    while trial <= lam_max:
+    while trial <= 2.0**16:
         phi_lam, X_lam, rho = _flatten_family(X, trial)
         u_max = max(X_lam(float(x)) for x in grid)
 
@@ -340,7 +341,7 @@ def flatten_field(X: VectorField1D, eta: float, r: int, lam: float = None,
         else:
             trial *= 2.0
     if chosen is None:
-        raise ReduceError(f"no ratio up to {lam_max} reached norm {eta}; "
+        raise ReduceError(f"no ratio up to 2^16 reached norm {eta}; "
                           f"sweep: {sweep}")
     lam, u_star, Y, res, norm_Y = chosen
     x0 = 1.0 / (8 * lam)
@@ -401,30 +402,25 @@ def _build_taper(X, x0, d, r, delta):
     poly = ShiftedField(PolynomialField(poly_coeffs), x0)
     right = SumField(ConstantField(a[0]), ProductField(cutoff, poly))
     zeros = tuple(z for z in X.zeros if z <= x0)
-    Y = PiecewiseField([x0], [X, right], zeros=zeros)
-    return Y, b
+    return PiecewiseField([x0], [X, right], zeros=zeros)
 
 
 def interpolate_ITI(X: VectorField1D, f: Diffeo1D, eta: float, r: int,
-                    delta: float = None, strict: bool = False,
                     x_max: float = 0.2, fwd=None, back=None):
     """Interpolate X to a constant right of a well-chosen point x0 near the
     flat boundary fixed point at 0, keeping X itself on [0, x0].
 
-    Returns (x0, Y).  Y is the Taylor-polynomial taper of the proof; the
-    candidate x0 must pass the regularity inequalities and — in ``strict``
-    mode — the three literal smallness conditions (which push x0 far below
-    what float64 transit bookkeeping can handle for very flat fields), or
-    otherwise the directly measured versions: the taper's norm stays below
-    eta on the extended window and the taper does not vanish on [x0, x0+eta].
+    Returns (x0, Y).  Y is the Taylor-polynomial taper of the proof, with
+    exponent delta = 1/(2r+2) < 1/(2r+1).  Candidates x0 are scanned down
+    from ``x_max``; one is taken when it passes the regularity inequalities
+    and the measured forms of the proof's smallness conditions: the taper's
+    norm stays below eta on the extended window and the taper does not
+    vanish on [x0, x0+eta].  (The literal conditions push x0 below what
+    float64 transit bookkeeping can resolve for very flat fields.)
     """
-    if delta is None:
-        delta = 1.0 / (2 * r + 2)
-    if not delta < 1.0 / (2 * r + 1):
-        raise ValueError("delta must be below 1/(2r+1)")
+    delta = 1.0 / (2 * r + 2)
     fwd = fwd if fwd is not None else f
     back = back if back is not None else f.inverse_value
-    M_r = _cutoff_norm(r)
     best = None
     for x0 in _scan_points(x_max):
         d = fwd(x0) - x0
@@ -433,14 +429,7 @@ def interpolate_ITI(X: VectorField1D, f: Diffeo1D, eta: float, r: int,
             break
         if not _regularity_holds(X, fwd, back, r, delta, x0):
             continue
-        if strict:
-            c1 = d**delta < eta
-            c2 = (d ** (1 - delta)
-                  + r * 2**r * M_r * d ** (1 - (2 * r + 1) * delta)) < eta
-            c3 = 0.5 * d > d ** (1 - delta) * (math.exp(d ** (2 * delta)) - 1)
-            if not (c1 and c2 and c3):
-                continue
-        Y, b = _build_taper(X, x0, d, r, delta)
+        Y = _build_taper(X, x0, d, r, delta)
         hi = min(x0 + eta, 1.0 - 1e-9)
         norm_y = field_norm(Y, r, np.linspace(back(x0), hi, 65))
         vals = [Y(float(s)) for s in np.linspace(x0, hi, 129)]
@@ -453,7 +442,7 @@ def interpolate_ITI(X: VectorField1D, f: Diffeo1D, eta: float, r: int,
 
 
 def interpolate_right(X: VectorField1D, f: Diffeo1D, eta: float, r: int,
-                      **kw):
+                      x_max: float):
     """Mirror of :func:`interpolate_ITI` at the right endpoint: returns
     (x1, Z) with Z = X on [x1, 1] and constant left of x1 - eta."""
     from .fields import ReversedField
@@ -461,7 +450,7 @@ def interpolate_right(X: VectorField1D, f: Diffeo1D, eta: float, r: int,
     Xr = ReversedField(X)
     fwd = lambda y: 1.0 - f.inverse_value(1.0 - y)
     back = lambda y: 1.0 - f(1.0 - y)
-    y0, Ym = interpolate_ITI(Xr, None, eta, r, fwd=fwd, back=back, **kw)
+    y0, Ym = interpolate_ITI(Xr, None, eta, r, x_max, fwd, back)
     return 1.0 - y0, ReversedField(Ym)
 
 
@@ -510,16 +499,10 @@ def borel_smooth(Y: VectorField1D, x0: float, alpha: float, r: int):
 # ---------------------------------------------------------------------------
 
 
-_ETA_CACHE: dict = {}
-
-
 def calibrate_flow_eta(epsilon: float, r: int) -> float:
     """Field-norm budget eta such that any field below it has time-1 map
     within epsilon of the identity in C^r, calibrated on a validation family
     (constant and two bump profiles, normalized) and halved for safety."""
-    key = (float(epsilon), int(r))
-    if key in _ETA_CACHE:
-        return _ETA_CACHE[key]
     family = [ConstantField(1.0),
               BumpField(0.05, 0.3, 0.7, 0.95),
               BumpField(0.3, 0.45, 0.55, 0.7)]
@@ -538,8 +521,7 @@ def calibrate_flow_eta(epsilon: float, r: int) -> float:
         eta *= 0.5
     else:
         raise ReduceError("flow-norm calibration failed to converge")
-    _ETA_CACHE[key] = eta / 2.0
-    return _ETA_CACHE[key]
+    return eta / 2.0
 
 
 @dataclass
@@ -671,38 +653,23 @@ def _boundary_tags_iti(phi, X, x0, x1, sigma_int, r):
             BoundaryTag(1.0, "power_of_f", float(sigma_int), res1)]
 
 
-def _drive_sigma_to_integer(X, X_tilde, rho, scale, x0, x1, pts):
-    """Find u >= 0 with sigma(u) = integral of 1/X - 1/(X_tilde - u rho scale)
-    equal to the nearest integer at or below sigma(0).  sigma decreases
-    continuously in u and diverges to -inf as the corrected field is pushed
-    toward a zero, so a bracket always exists."""
+def _drive_offset(gap, X_tilde, rho, scale, span, n):
+    """The root u of ``gap`` for the field X_tilde - u rho scale.
 
-    def field_at(u):
-        return SumField(X_tilde, ScaledField(rho, -u * scale))
-
-    def sigma(u):
-        return _sigma_quad(X, field_at(u), x0, x1, pts)
-
-    s0 = sigma(0.0)
-    target = math.floor(s0)
-    if abs(s0 - target) < 1e-12:
-        return 0.0, target, field_at(0.0)
-    # u may grow until the corrected field first touches zero
-    grid = np.linspace(x0, x1, 2049)
+    ``gap`` is an offset minus its target: negative at u = 0, increasing,
+    and divergent as the corrected field approaches zero, which happens at
+    u_cap = min X_tilde/(rho scale), taken here over n nodes of span.  A
+    bracket therefore exists below u_cap.
+    """
+    grid = np.linspace(span[0], span[1], n)
     caps = [X_tilde(float(t)) / (rho(float(t)) * scale)
             for t in grid if rho(float(t)) * scale > 1e-300]
     u_cap = min(caps)
-    u_hi = None
     for k in range(1, 60):
-        u_try = u_cap * (1.0 - 2.0 ** (-k))
-        if sigma(u_try) < target:
-            u_hi = u_try
-            break
-    if u_hi is None:
-        raise ReduceError("offset continuation failed to bracket an integer")
-    u = brentq(lambda v: sigma(v) - target, 0.0, u_hi,
-               xtol=1e-300, rtol=8.9e-16)
-    return u, target, field_at(u)
+        u_hi = u_cap * (1.0 - 2.0 ** (-k))
+        if gap(u_hi) > 0:
+            return brentq(gap, 0.0, u_hi, xtol=1e-300, rtol=8.9e-16)
+    raise ReduceError("offset continuation failed to bracket an integer")
 
 
 def _reduce_case1(X, f, eta_flow, r, eta_prep):
@@ -729,9 +696,23 @@ def _reduce_case1(X, f, eta_flow, r, eta_prep):
                              zeros=(0.0, 1.0))
     pts = [x0 + b0, q1, x0 + 5 * L / 16, x0 + 3 * L / 8, x0 + 5 * L / 8,
            x0 + 11 * L / 16, q2, x1 - b1]
-    u, sigma_int, X_u = _drive_sigma_to_integer(
-        X, X_tilde, rho, c0, x0, x1, pts)
-    X_u = PiecewiseField([x0, x1], [X, X_u, X], zeros=(0.0, 1.0))
+    # sigma(u), the transit offset of the field pushed down by u rho c0,
+    # decreases from sigma(0) and diverges to -inf; drive it to the integer
+    # at or below sigma(0)
+
+    def field_at(u):
+        return SumField(X_tilde, ScaledField(rho, -u * c0))
+
+    def sigma(u):
+        return _sigma_quad(X, field_at(u), x0, x1, pts)
+
+    s0 = sigma(0.0)
+    sigma_int = math.floor(s0)
+    u = 0.0
+    if abs(s0 - sigma_int) >= 1e-12:
+        u = _drive_offset(lambda v: sigma_int - sigma(v), X_tilde, rho, c0,
+                          (x0, x1), 2049)
+    X_u = PiecewiseField([x0, x1], [X, field_at(u), X], zeros=(0.0, 1.0))
     norm_u = field_norm(X_u, r, np.linspace(0.0, 1.0, 257))
     if norm_u > eta_flow:
         raise ReduceError(f"prepared field norm {norm_u:.3g} exceeds the "
@@ -757,38 +738,25 @@ def _reduce_case1(X, f, eta_flow, r, eta_prep):
 
 def reduce_no_interior_ITI(f_data, epsilon: float, r: int) -> ReductionStep:
     """One reduction step for a block whose interior carries no flat fixed
-    point: ITI boundaries are interpolated away and the transit offset is
-    driven to an integer, so the conjugator degenerates to a power of the
-    map at those ends; blocks with ordinary (finite-order) boundary zeros
-    go through homothety flattening instead."""
+    point.
+
+    When both ends are ITI, they are interpolated away and the transit
+    offset is driven to an integer, so the conjugator degenerates to a power
+    of the map at those ends (case 1 without an interior zero, case 2 with
+    one parabolic interior zero).  When both boundary zeros are of finite
+    order, the block is flattened by homothety as the single block of
+    :func:`_flatten_blocks`, exactly as :func:`reduce_interval` does.
+    """
     if isinstance(f_data, VectorField1D):
         f_data = ReductionInput(f_data)
     X = f_data.X
     left, right = f_data.resolved_flags()
-    f = FlowMap(X, 1.0)
     if not left and not right:
-        eta_flow = calibrate_flow_eta(epsilon, r)
-        fl = flatten_field(X, eta_flow, r)
-        g = Compose(fl.phi, f, fl.phi.inverse())
-        d_iso = cr_distance(FlowMap(fl.Y, 1.0), Identity(), r,
-                            GridSpec(0.0, 1.0, 128))
-        pts0 = [1e-3 / fl.lam, 1e-2 / fl.lam]
-        tags = [
-            BoundaryTag(0.0, "homothety", fl.lam,
-                        _jet_mismatch(fl.phi, Homothety(0.0, fl.lam),
-                                      pts0, r)),
-            BoundaryTag(1.0, "homothety", fl.lam,
-                        _jet_mismatch(fl.phi, Homothety(1.0, fl.lam),
-                                      [1.0 - p for p in pts0], r)),
-        ]
-        return ReductionStep(
-            conjugator=fl.phi, conjugate=FlowMap(fl.Y, 1.0),
-            dr_to_isometry=d_iso, r=r, boundary_tags=tags,
-            info={"case": 0, "lam": fl.lam, "u": fl.u,
-                  "transit_match_residual": fl.transit_match_residual})
+        return _flatten_blocks(X, [0.0, 1.0], epsilon, r)
     if not (left and right):
         raise ReduceError("mixed boundary types (one flat end, one "
                           "finite-order end) need a prior subdivision")
+    f = FlowMap(X, 1.0)
     eta_flow = calibrate_flow_eta(epsilon, r)
     chi0, rho0 = _case1_profiles(0.2, 0.8)
     eta_prep = _prep_eta(eta_flow, rho0, chi0, r)
@@ -808,39 +776,6 @@ def reduce_no_interior_ITI(f_data, epsilon: float, r: int) -> ReductionStep:
     raise ReduceError(f"reduction failed after retries: {last_err}")
 
 
-def _drive_offset(X_tilde, rho, scale, frac, span, pts):
-    """Find u with Delta(u) = integral over the bump support of
-    1/(X_tilde - u rho scale) - 1/X_tilde equal to frac (in [0, 1)).
-    Delta is zero at u = 0, increasing, and diverges as the corrected field
-    approaches zero on the bump plateau."""
-    if frac < 1e-12:
-        return 0.0
-
-    def delta(u):
-        def integrand(x):
-            a = X_tilde(x)
-            b = a - u * rho(x) * scale
-            return (a - b) / (a * b)
-        val, _ = quad(integrand, span[0], span[1], points=list(pts),
-                      limit=400, epsabs=1e-11, epsrel=1e-13)
-        return val
-
-    grid = np.linspace(span[0], span[1], 513)
-    caps = [X_tilde(float(t)) / (rho(float(t)) * scale)
-            for t in grid if rho(float(t)) * scale > 1e-300]
-    u_cap = min(caps)
-    u_hi = None
-    for k in range(1, 60):
-        u_try = u_cap * (1.0 - 2.0 ** (-k))
-        if delta(u_try) > frac:
-            u_hi = u_try
-            break
-    if u_hi is None:
-        raise ReduceError("offset continuation failed to bracket an integer")
-    return brentq(lambda v: delta(v) - frac, 0.0, u_hi,
-                  xtol=1e-300, rtol=8.9e-16)
-
-
 def _diff_quad(F, G, lo, hi, pts):
     def integrand(x):
         a, b = F(x), G(x)
@@ -858,7 +793,7 @@ def _inv_quad(F, lo, hi, pts):
     return val
 
 
-def _reduce_case2(X, f, eta_flow, r, eta_prep, lam_max=2 ** 20):
+def _reduce_case2(X, f, eta_flow, r, eta_prep):
     """Both-ends-ITI block with one interior zero c of the field, where all
     reparametrization happens through an expansion germ at c: the prepared
     field equals the affine pushforward of X near c (so the conjugator is
@@ -892,7 +827,7 @@ def _reduce_case2(X, f, eta_flow, r, eta_prep, lam_max=2 ** 20):
     chi_R = StepField(e3, e4)
     grid = np.linspace(0.0, 1.0, 513)
     lam, X_tilde, G = 4.0, None, None
-    while lam <= lam_max:
+    while lam <= 2 ** 20:
         G = AffinePushforwardField(X, lam, c * (1.0 - lam))
         blend_L = SumField(ConstantField(c0),
                            ProductField(chi_L, SumField(G, ConstantField(-c0))))
@@ -933,12 +868,27 @@ def _reduce_case2(X, f, eta_flow, r, eta_prep, lam_max=2 ** 20):
         raise ReduceError(f"offset bookkeeping mismatch: left {s_L} vs "
                           f"{s_L2}, right {s_R} vs {s_R2}")
     tgt_L, tgt_R = math.floor(s_L), math.floor(s_R)
-    u_L = _drive_offset(X_tilde, rho_L, c0, s_L - tgt_L,
-                        (x0 + 0.1 * lL, x0 + 0.4 * lL),
-                        [x0 + 0.2 * lL, x0 + 0.3 * lL])
-    u_R = _drive_offset(X_tilde, rho_R, c1, s_R - tgt_R,
-                        (x1 - 0.4 * lR, x1 - 0.1 * lR),
-                        [x1 - 0.3 * lR, x1 - 0.2 * lR])
+
+    def drive(rho, scale, frac):
+        # the offset the bump adds over its support, zero at u = 0, is
+        # raised to the fractional part frac in [0, 1)
+        if frac < 1e-12:
+            return 0.0
+
+        def gap(u):
+            def integrand(x):
+                a = X_tilde(x)
+                b = a - u * rho(x) * scale
+                return (a - b) / (a * b)
+            val, _ = quad(integrand, rho.lo, rho.hi,
+                          points=[rho.plateau_lo, rho.plateau_hi],
+                          limit=400, epsabs=1e-11, epsrel=1e-13)
+            return val - frac
+
+        return _drive_offset(gap, X_tilde, rho, scale, (rho.lo, rho.hi), 513)
+
+    u_L = drive(rho_L, c0, s_L - tgt_L)
+    u_R = drive(rho_R, c1, s_R - tgt_R)
     X_u = SumField(X_tilde, ScaledField(rho_L, -u_L * c0),
                    ScaledField(rho_R, -u_R * c1))
     X_u = PiecewiseField([x0, x1], [X, X_u, X], zeros=(0.0, c, 1.0))
@@ -982,10 +932,11 @@ def _block_field(X, lo, hi):
     return AffinePushforwardField(X, 1.0 / w, -lo / w), w
 
 
-def _block_to_global(phi_b, Y_b, lo, hi):
+def _on_span(m, lo, hi):
+    """The map m of [0, 1] carried to [lo, hi] by the affine change of
+    variable."""
     w = hi - lo
-    back, fwd = Affine(w, lo), Affine(1.0 / w, -lo / w)
-    return Compose(back, phi_b, fwd), AffinePushforwardField(Y_b, w, lo)
+    return Compose(Affine(w, lo), m, Affine(1.0 / w, -lo / w))
 
 
 def _identity_tags():
@@ -993,40 +944,34 @@ def _identity_tags():
             BoundaryTag(1.0, "identity", 0.0, 0.0)]
 
 
-def _blockwise_d_iso(block_fields, r):
-    """d_r(time-1 map of the glued global field, id), computed block by
-    block.
+def _glue_blocks(cuts, blocks, zeros, r):
+    """Glue per-block results on the spans between consecutive cuts.
 
-    On a block [lo, hi] the glued time-1 map is the affine conjugate
-    A g_b A^{-1} of the block map g_b, so its jet deviation from the
-    identity is the block deviation with the value scaled by w = hi - lo
-    and D^k by w^(1-k).  Evaluating blockwise avoids flowing the glued
-    field, whose right side is far costlier per call.
+    ``blocks`` holds one (conjugator, field) pair per span, both in block
+    coordinates on [0, 1]; ``zeros`` are the declared zeros of the glued
+    field.  Returns the glued conjugator, the time-1 map g of the glued
+    field and d_r(g, id).  The distance is taken block by block: on
+    [lo, hi], g is the affine conjugate of the block's time-1 map, and
+    flowing that costs far less per call than flowing the glued field.
     """
-    worst = 0.0
-    for lo, hi, Yb in block_fields:
-        w = hi - lo
-        n, prev = 33, None
-        while True:
-            best = 0.0
-            for x in np.linspace(0.0, 1.0, n):
-                # the distance is reported against thresholds >= 1e-2, so
-                # the default integrator tolerance (which can stall against
-                # evaluation noise in the jet system) is far tighter than
-                # the measurement needs
-                j = flow(Yb, 1.0, float(x), r, tol=1e-9)
-                dev = w * abs(j.value - float(x))
-                for k in range(1, r + 1):
-                    target = 1.0 if k == 1 else 0.0
-                    dev = max(dev, w ** (1 - k) * abs(j.coeffs[k] - target))
-                best = max(best, dev)
-            if prev is not None and best <= prev * 1.01 + 1e-15:
-                break
-            if n >= 1025:
-                break
-            prev, n = best, 2 * n - 1
-        worst = max(worst, best)
-    return worst
+    spans = list(zip(cuts[:-1], cuts[1:]))
+    psis = [_on_span(phi_b, lo, hi)
+            for (lo, hi), (phi_b, _) in zip(spans, blocks)]
+    fields = [AffinePushforwardField(Y_b, hi - lo, lo)
+              for (lo, hi), (_, Y_b) in zip(spans, blocks)]
+    if len(blocks) == 1:
+        phi, Y = psis[0], fields[0]
+    else:
+        phi = PiecewiseGlue(list(cuts[1:-1]), psis, gluing_order=r)
+        Y = PiecewiseField(list(cuts[1:-1]), fields, zeros=zeros)
+    # the distance is reported against thresholds >= 1e-2, so the default
+    # integrator tolerance (which can stall against evaluation noise in the
+    # jet system) is far tighter than the measurement needs
+    d_iso = max(
+        cr_distance(_on_span(FlowMap(Y_b, 1.0, tol=1e-9), lo, hi),
+                    Identity(), r, GridSpec(lo, hi, 32))
+        for (lo, hi), (_, Y_b) in zip(spans, blocks))
+    return phi, FlowMap(Y, 1.0), d_iso
 
 
 def _flatten_blocks(X, zeros, epsilon, r):
@@ -1047,16 +992,8 @@ def _flatten_blocks(X, zeros, epsilon, r):
             Xb, w = _block_field(X, lo, hi)
             results[i] = flatten_field(Xb, eta * w ** (r - 1), r,
                                        lam=lam_star)
-    psis, fields = [], []
-    for (lo, hi), res in zip(blocks, results):
-        psi, Yg = _block_to_global(res.phi, res.Y, lo, hi)
-        psis.append(psi)
-        fields.append(Yg)
-    if len(blocks) == 1:
-        phi, Y = psis[0], fields[0]
-    else:
-        phi = PiecewiseGlue(list(zeros[1:-1]), psis, gluing_order=r)
-        Y = PiecewiseField(list(zeros[1:-1]), fields, zeros=tuple(zeros))
+    phi, g, d_iso = _glue_blocks(
+        zeros, [(res.phi, res.Y) for res in results], tuple(zeros), r)
     pts0 = [1e-3 / lam_star, 1e-2 / lam_star]
     tags = [
         BoundaryTag(0.0, "homothety", lam_star,
@@ -1065,9 +1002,6 @@ def _flatten_blocks(X, zeros, epsilon, r):
                     _jet_mismatch(phi, Homothety(1.0, lam_star),
                                   [1.0 - p for p in pts0], r)),
     ]
-    g = FlowMap(Y, 1.0)
-    d_iso = _blockwise_d_iso(
-        [(lo, hi, res.Y) for (lo, hi), res in zip(blocks, results)], r)
     return ReductionStep(
         conjugator=phi, conjugate=g, dr_to_isometry=d_iso, r=r,
         boundary_tags=tags,
@@ -1110,18 +1044,14 @@ def reduce_interval(f_data, epsilon: float, r: int) -> ReductionTrace:
         if len(cuts) == 2:
             step = reduce_no_interior_ITI(f_data, epsilon, r)
         else:
-            psis, fields, tag_list, block_fields = [], [], [], []
+            blocks, tag_list = [], []
             sigma = tau = float("nan")
             for lo, hi in zip(cuts[:-1], cuts[1:]):
                 Xb, w = _block_field(X, lo, hi)
                 sub = reduce_no_interior_ITI(
                     ReductionInput(Xb, True, True),
                     epsilon * w ** (r - 1), r)
-                psi, Yg = _block_to_global(sub.conjugator, sub.conjugate.X,
-                                           lo, hi)
-                psis.append(psi)
-                fields.append(Yg)
-                block_fields.append((lo, hi, sub.conjugate.X))
+                blocks.append((sub.conjugator, sub.conjugate.X))
                 if lo == 0.0:
                     tag_list.append(sub.boundary_tags[0])
                     sigma = sub.sigma
@@ -1129,11 +1059,8 @@ def reduce_interval(f_data, epsilon: float, r: int) -> ReductionTrace:
                     t = sub.boundary_tags[1]
                     tag_list.append(t)
                     tau = sub.sigma if math.isnan(sub.tau) else sub.tau
-            phi = PiecewiseGlue(cuts[1:-1], psis, gluing_order=r)
             zs = tuple(sorted(set([0.0, 1.0] + interior)))
-            Y = PiecewiseField(cuts[1:-1], fields, zeros=zs)
-            g = FlowMap(Y, 1.0)
-            d_iso = _blockwise_d_iso(block_fields, r)
+            phi, g, d_iso = _glue_blocks(cuts, blocks, zs, r)
             step = ReductionStep(
                 conjugator=phi, conjugate=g, dr_to_isometry=d_iso, r=r,
                 boundary_tags=tag_list, sigma=sigma, tau=tau,
