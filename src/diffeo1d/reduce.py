@@ -966,10 +966,12 @@ def _glue_blocks(cuts, blocks, zeros, r):
         Y = PiecewiseField(list(cuts[1:-1]), fields, zeros=zeros)
     # the distance is reported against thresholds >= 1e-2, so the default
     # integrator tolerance (which can stall against evaluation noise in the
-    # jet system) is far tighter than the measurement needs
+    # jet system) is far tighter than the measurement needs; the start grid
+    # is the 128 intervals of every other distance here, since coarser
+    # grids can agree on a value below a narrow peak of D^r and stop
     d_iso = max(
         cr_distance(_on_span(FlowMap(Y_b, 1.0, tol=1e-9), lo, hi),
-                    Identity(), r, GridSpec(lo, hi, 32))
+                    Identity(), r, GridSpec(lo, hi, 128))
         for (lo, hi), (_, Y_b) in zip(spans, blocks))
     return phi, FlowMap(Y, 1.0), d_iso
 

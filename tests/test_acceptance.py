@@ -152,11 +152,28 @@ def interior_parabolic_field(amp=1.2e-6):
     return PiecewiseField([0.5], [S, S], zeros=(0.0, 0.5, 1.0))
 
 
+def _fd_distance(g, n=512):
+    """C^2 distance of g to the identity from values only: fourth-order
+    central differences on a grid of spacing 1/n, at nodes whose stencil
+    stays inside [0, 1]."""
+    h = 1.0 / n
+    xs = np.linspace(0.0, 1.0, n + 1)
+    v = np.array([g(float(x)) for x in xs])
+    d1 = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
+    d2 = (-v[:-4] + 16 * v[1:-3] - 30 * v[2:-2] + 16 * v[3:-1]
+          - v[4:]) / (12 * h * h)
+    return float(max(np.max(np.abs(v - xs)), np.max(np.abs(d1 - 1.0)),
+                     np.max(np.abs(d2))))
+
+
 def test_criterion_5_almost_reducibility():
     start = time.time()
     # finite-order endpoints: homothety flattening
     trace1 = reduce_interval(ReductionInput(QUARTIC), 0.05, 2)
     assert trace1.final_distance() < 0.05
+    # the reported distance finds the peak of |D^2 g| near x = 0.15
+    fd = _fd_distance(trace1.steps[-1].conjugate)
+    assert abs(trace1.final_distance() - fd) <= 0.02 * fd
     for tag in trace1.steps[-1].boundary_tags:
         assert tag.tag == "homothety"
         assert tag.jet_residual < 1e-6

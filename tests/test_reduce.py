@@ -27,9 +27,12 @@ from diffeo1d.fields import (
     PiecewiseField,
     field_norm,
 )
+from diffeo1d.grid import GridSpec
+from diffeo1d.metrics import cr_distance
 from diffeo1d.reduce import (
     ReduceError,
     ReductionInput,
+    _glue_blocks,
     borel_smooth,
     calibrate_flow_eta,
     flatten_field,
@@ -118,6 +121,21 @@ def test_reduce_trivial_input_single_step():
     assert len(trace.steps) == 1
     assert trace.final_distance() < 0.05
     assert trace.steps[0].info["case"] == "input"
+
+
+def test_glue_blocks_distance_matches_glued_flow():
+    # two blocks whose fields have opposite signs, glued at 1/2: the
+    # blockwise distance is that of the glued field's own time-1 map on the
+    # matching global grid (each block starts at 128 intervals)
+    Y1 = ScaledField(BumpField(0.1, 0.3, 0.6, 0.9), 0.03)
+    Y2 = ScaledField(BumpField(0.2, 0.4, 0.5, 0.8), -0.02)
+    cuts = [0.0, 0.5, 1.0]
+    phi, g, d_iso = _glue_blocks(cuts, [(Identity(), Y1), (Identity(), Y2)],
+                                 tuple(cuts), 2)
+    assert all(phi(x) == x for x in (0.1, 0.5, 0.9))
+    want = cr_distance(FlowMap(g.X, 1.0, tol=1e-9), Identity(), 2,
+                       GridSpec(0.0, 1.0, 256))
+    assert abs(d_iso - want) <= 1e-9 * want
 
 
 def test_reduce_mixed_boundaries_rejected():
