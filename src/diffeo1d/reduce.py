@@ -696,10 +696,10 @@ def _reduce_case1(X, f, eta_flow, r, eta_prep):
                              zeros=(0.0, 1.0))
     pts = [x0 + b0, q1, x0 + 5 * L / 16, x0 + 3 * L / 8, x0 + 5 * L / 8,
            x0 + 11 * L / 16, q2, x1 - b1]
+
     # sigma(u), the transit offset of the field pushed down by u rho c0,
     # decreases from sigma(0) and diverges to -inf; drive it to the integer
     # at or below sigma(0)
-
     def field_at(u):
         return SumField(X_tilde, ScaledField(rho, -u * c0))
 
