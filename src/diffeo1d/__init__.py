@@ -47,7 +47,6 @@ from .grid import GridFunction, GridSpec
 from .metrics import (
     asymptotic_variation,
     cr_distance,
-    dr_to_identity,
     liouville_cocycle,
     liouville_length,
     rotation_number,

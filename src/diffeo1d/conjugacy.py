@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffeos import Diffeo1D, flow, transit_time
+from .diffeos import Compose, Diffeo1D, Power, transit_time
 from .fields import VectorField1D
 from .grid import GridSpec
 from .jets import Jet, jet_compose
-from .mather import FlowChartInverse, time_jet_of_flow
+from .mather import FlowChart, FlowChartInverse
 
 #: Germ acceptance threshold: sup |phi0 o f - g o phi0| near 0.
 GERM_TOL = 1e-9
@@ -28,10 +28,6 @@ ORBIT_CAP = 10_000
 
 class ConjugacyError(RuntimeError):
     pass
-
-
-def germ_residual(phi0: Diffeo1D, f: Diffeo1D, g: Diffeo1D, xs) -> float:
-    return max(abs(phi0(f(float(x))) - g(phi0(float(x)))) for x in xs)
 
 
 def sigma_offset(f_field: VectorField1D, g_field: VectorField1D,
@@ -58,51 +54,30 @@ class OrbitConjugator(Diffeo1D):
         if self._b1 <= self.base_x:
             raise ConjugacyError("orbit conjugator assumes f > id on (0,1)")
 
-    def _locate(self, x: float):
+    def _locate(self, h: Diffeo1D, x: float, lo: float, hi: float):
+        """(n, h^{-n}(x)) for the n that brings x into [lo, hi)."""
         n = 0
-        while x >= self._b1:
-            x = self.f.inverse_value(x)
+        while x >= hi:
+            x = h.inverse_value(x)
             n += 1
             if n > ORBIT_CAP:
                 raise ConjugacyError("orbit escape: iteration cap exceeded")
-        while x < self.base_x:
-            x = self.f(x)
+        while x < lo:
+            x = h(x)
             n -= 1
             if n < -ORBIT_CAP:
                 raise ConjugacyError("orbit escape: iteration cap exceeded")
         return n, x
 
     def eval_jet(self, x, r):
-        n, _ = self._locate(float(x))
-        out = Jet.identity(x, r)
-        step_back = self.f.inverse() if n >= 0 else self.f
-        for _ in range(abs(n)):
-            out = jet_compose(step_back.eval_jet(out.value, r), out)
-        out = jet_compose(self.phi0.eval_jet(out.value, r), out)
-        step_fwd = self.g if n >= 0 else self.g.inverse()
-        for _ in range(abs(n)):
-            out = jet_compose(step_fwd.eval_jet(out.value, r), out)
-        return out
+        n, _ = self._locate(self.f, float(x), self.base_x, self._b1)
+        return Compose(Power(self.g, n), self.phi0,
+                       Power(self.f, -n)).eval_jet(x, r)
 
     def inverse_value(self, y):
-        n = 0
-        y0 = self.phi0(self.base_x)
-        y1 = self.phi0(self._b1)
-        while y >= y1:
-            y = self.g.inverse_value(y)
-            n += 1
-            if n > ORBIT_CAP:
-                raise ConjugacyError("orbit escape: iteration cap exceeded")
-        while y < y0:
-            y = self.g(y)
-            n -= 1
-            if n < -ORBIT_CAP:
-                raise ConjugacyError("orbit escape: iteration cap exceeded")
-        x = self.phi0.inverse_value(y)
-        fwd = self.f if n >= 0 else self.f.inverse()
-        for _ in range(abs(n)):
-            x = fwd(x)
-        return x
+        n, y = self._locate(self.g, y, self.phi0(self.base_x),
+                            self.phi0(self._b1))
+        return Power(self.f, n)(self.phi0.inverse_value(y))
 
     def children(self):
         return (self.f, self.g, self.phi0)
@@ -126,6 +101,8 @@ class TransitConjugator(Diffeo1D):
         self.X_src, self.X_dst = X_src, X_dst
         self.a_src, self.a_dst = float(anchor_src), float(anchor_dst)
         self.domain = X_dst.domain
+        self._charts = Compose(FlowChart(X_dst, self.a_dst),
+                               FlowChartInverse(X_src, self.a_src))
 
     def eval_jet(self, x, r):
         if self.X_src(float(x)) == 0.0 and self.X_dst(float(x)) == 0.0:
@@ -133,17 +110,12 @@ class TransitConjugator(Diffeo1D):
             # conjugator extends by the identity jet (exact when the germs
             # at the zero are identity-flat)
             return Jet.identity(float(x), r)
-        tj = FlowChartInverse(self.X_src, self.a_src).eval_jet(x, r)
-        if r == 0:
-            return Jet(x, 0, (flow(self.X_dst, tj.value, self.a_dst, 0).value,))
-        cj = time_jet_of_flow(self.X_dst, self.a_dst, tj.value, r)
-        return jet_compose(cj, tj)
+        return self._charts.eval_jet(x, r)
 
     def inverse_value(self, y):
         if self.X_dst(float(y)) == 0.0 and self.X_src(float(y)) == 0.0:
             return float(y)
-        t = transit_time(self.X_dst, self.a_dst, y)
-        return flow(self.X_src, t, self.a_src, 0).value
+        return self._charts.inverse_value(y)
 
     def inverse(self):
         return TransitConjugator(self.X_dst, self.X_src, self.a_dst, self.a_src)
@@ -201,7 +173,7 @@ def synthesize_conjugacy(f: Diffeo1D, g: Diffeo1D, phi0: Diffeo1D,
     sigma is computed from the transit-time formula; otherwise it is NaN.
     """
     germ_xs = np.linspace(base_x / 4, base_x, 17)
-    res = germ_residual(phi0, f, g, germ_xs)
+    res = conjugacy_residuals(phi0, f, g, 0, germ_xs)
     if res > GERM_TOL:
         raise ConjugacyError(
             f"phi0 fails local conjugacy check: residual {res:.3g} > {GERM_TOL}")

@@ -141,6 +141,18 @@ def transit_time(X: VectorField1D, p: float, q: float) -> float:
     return val
 
 
+def jet_gap(f: Diffeo1D, g: Diffeo1D, xs, r: int) -> float:
+    """Max over the points ``xs`` and orders 0..r of |D^k f - D^k g|."""
+    best = 0.0
+    for x in xs:
+        a = f.eval_jet(float(x), r)
+        b = g.eval_jet(float(x), r)
+        d = max(abs(u - v) for u, v in zip(a.coeffs, b.coeffs))
+        if d > best:
+            best = d
+    return best
+
+
 # ---------------------------------------------------------------------------
 # diffeomorphism nodes
 # ---------------------------------------------------------------------------
@@ -157,9 +169,6 @@ class Diffeo1D:
 
     def __call__(self, x: float) -> float:
         return self.eval_jet(x, 0).value
-
-    def deriv(self, x: float, k: int = 1) -> float:
-        return self.eval_jet(x, k).coeffs[k]
 
     def inverse_value(self, y: float) -> float:
         """Solve f(x) = y by monotone bracketing; nodes override when closed
@@ -420,7 +429,8 @@ class InverseMap(Diffeo1D):
 
 class Power(Diffeo1D):
     """Integer iterate f^n (n may be negative); evaluated by repeated
-    composition without building a chain of nodes."""
+    composition without building a chain of nodes, or as the single
+    time-n*t flow when f is the time-t map of a field."""
 
     kind = "power"
 
@@ -428,8 +438,12 @@ class Power(Diffeo1D):
         self.child = child
         self.n = int(n)
         self.domain = child.domain
+        self._flow = (FlowMap(child.X, self.n * child.t, child.tol)
+                      if isinstance(child, FlowMap) else None)
 
     def eval_jet(self, x, r):
+        if self._flow is not None:
+            return self._flow.eval_jet(x, r)
         base = self.child if self.n >= 0 else self.child.inverse()
         out = Jet.identity(x, r)
         for _ in range(abs(self.n)):
@@ -437,6 +451,8 @@ class Power(Diffeo1D):
         return out
 
     def inverse_value(self, y):
+        if self._flow is not None:
+            return self._flow.inverse_value(y)
         base = self.child if self.n >= 0 else self.child.inverse()
         for _ in range(abs(self.n)):
             y = base.inverse_value(y)
@@ -494,16 +510,11 @@ class PiecewiseGlue(Diffeo1D):
         return {"breakpoints": list(self.breakpoints),
                 "gluing_order": self.gluing_order}
 
-    def check_gluing(self, r=None, tol=1e-9):
+    def check_gluing(self, r=None):
         """Max jet mismatch across breakpoints up to the gluing order."""
         r = self.gluing_order if r is None else r
-        worst = 0.0
-        for i, b in enumerate(self.breakpoints):
-            left = self.pieces[i].eval_jet(b, r)
-            right = self.pieces[i + 1].eval_jet(b, r)
-            worst = max(worst, max(abs(u - v) for u, v in
-                                   zip(left.coeffs, right.coeffs)))
-        return worst
+        return max((jet_gap(self.pieces[i], self.pieces[i + 1], [b], r)
+                    for i, b in enumerate(self.breakpoints)), default=0.0)
 
 
 class CircleFromInterval(Diffeo1D):

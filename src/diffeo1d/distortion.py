@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffeos import Compose, Diffeo1D, FlowMap, Identity, flow
+from .diffeos import Compose, Diffeo1D, FlowMap, Identity, Power, flow, jet_gap
 from .fields import BumpField, ScaledField, VectorField1D, field_norm
 from .grid import GridSpec
 from .metrics import cr_distance
@@ -93,16 +93,6 @@ def word_to_diffeo(generators, letters) -> Diffeo1D:
     return Compose(*maps)
 
 
-def _repeat(h: Diffeo1D, n: int) -> Diffeo1D:
-    """h^n, collapsed to a single time-n flow when h is one."""
-    if n == 0:
-        return Identity()
-    if isinstance(h, FlowMap):
-        return FlowMap(h.X, n * h.t, tol=h.tol)
-    base = h if n > 0 else h.inverse()
-    return Compose(*([base] * abs(n)))
-
-
 def _invert_letters(letters):
     return [(i, -e) for i, e in reversed(letters)]
 
@@ -129,7 +119,7 @@ class WordCertificate:
         }
 
 
-def _scaled_push(interval, p, direction, cover, clear, cap=2.0**24):
+def _scaled_push(interval, p, direction, cover, clear):
     """Time-1 map of a bump field on ``interval`` at close to the minimal
     strength for which ``clear`` holds; ``direction`` is the sign.
 
@@ -146,7 +136,7 @@ def _scaled_push(interval, p, direction, cover, clear, cap=2.0**24):
     a, b = interval
     w = b - a
     base = BumpField(a, a + w / 8, b - w / 8, b)
-    c = 1.0 / 256
+    c, cap = 1.0 / 256, 2.0**24
     while not clear(push(c)):
         c *= 2.0
         if c > cap:
@@ -188,8 +178,8 @@ def build_interval_certificate(pairs, J, I, contraction_target,
     outside = [x for x in np.linspace(i_lo, i_hi, 257)
                if not (j_lo < x < j_hi)]
     for n, (g, gp) in enumerate(pairs):
-        worst = max(max(abs(g(float(x)) - float(x)),
-                        abs(gp(float(x)) - float(x))) for x in outside)
+        worst = max(jet_gap(g, Identity(), outside, 0),
+                    jet_gap(gp, Identity(), outside, 0))
         if worst > 1e-12:
             raise CertificateError(
                 f"pair {n} is not supported in J (leak {worst:.3g})")
@@ -210,7 +200,7 @@ def build_interval_certificate(pairs, J, I, contraction_target,
             raise CertificateError("h-translates of J' fail to separate")
 
     def conj(g, n):
-        return Compose(_repeat(h, n), g, _repeat(h, -n)) if n else g
+        return Compose(Power(h, n), g, Power(h, -n)) if n else g
 
     F = Compose(*[conj(g, n) for n, (g, _) in enumerate(pairs)])
     Fp = Compose(*[conj(gp, n) for n, (_, gp) in enumerate(pairs)])
@@ -235,7 +225,7 @@ def build_interval_certificate(pairs, J, I, contraction_target,
                       "letters": letters, "claimed_length": claimed})
         word_map = word_to_diffeo(generators, letters)
         target = Compose(g, gp, g.inverse(), gp.inverse())
-        res = max(abs(word_map(float(x)) - target(float(x))) for x in xs)
+        res = jet_gap(word_map, target, xs, 0)
         if res > tol:
             raise CertificateError(
                 f"word {n} fails verification: residual {res:.3g}")
@@ -245,8 +235,8 @@ def build_interval_certificate(pairs, J, I, contraction_target,
                             "J_prime": (jp_lo, jp_hi), "p": (p, p)})
 
 
-def epsilon_schedule(J_prime, h: Diffeo1D, n_max: int, r: int = 3) -> list:
-    """Field-size budgets eps_n with d_r(h^n g h^{-n}, id) < 1/n for the
+def epsilon_schedule(J_prime, h: Diffeo1D, n_max: int) -> list:
+    """Field-size budgets eps_n with d_3(h^n g h^{-n}, id) < 1/n for the
     calibration bump g of size eps_n supported in J'; each returned value
     is halved for slack.
 
@@ -262,11 +252,11 @@ def epsilon_schedule(J_prime, h: Diffeo1D, n_max: int, r: int = 3) -> list:
     lo, hi = float(J_prime[0]), float(J_prime[1])
     w = hi - lo
     base = BumpField(lo, lo + w / 4, hi - w / 4, hi)
-    base = ScaledField(base, 1.0 / field_norm(base, r, np.linspace(lo, hi, 129)))
+    base = ScaledField(base, 1.0 / field_norm(base, 3, np.linspace(lo, hi, 129)))
     out = []
     eps = 1.0
     for n in range(1, n_max + 1):
-        hn = _repeat(h, n)
+        hn = Power(h, n)
         # the conjugate only moves points in h^n(J'); sample there, with a
         # margin, instead of wasting a global grid on the identity region
         a, b = sorted((hn(lo), hn(hi)))
@@ -278,8 +268,8 @@ def epsilon_schedule(J_prime, h: Diffeo1D, n_max: int, r: int = 3) -> list:
         eps = min(eps, 1.0 / n)
         for _ in range(30):
             g = FlowMap(ScaledField(base, eps), 1.0, tol=1e-9)
-            conj = Compose(hn, g, _repeat(h, -n))
-            d = cr_distance(conj, Identity(), r, grid, refine=False)
+            conj = Compose(hn, g, Power(h, -n))
+            d = cr_distance(conj, Identity(), 3, grid, refine=False)
             if d < 1.0 / n:
                 break
             eps /= 16.0
@@ -335,21 +325,19 @@ def _flow_factors(f: Diffeo1D):
                            "flow maps")
 
 
-def flow_root_decomposition(f: Diffeo1D, eta: float, C0: int = None,
-                            r: int = 3) -> DecompositionRecord:
+def flow_root_decomposition(f: Diffeo1D, eta: float) -> DecompositionRecord:
     """Write f = prod_i (phi_i^{t_i/n})^n with every root within eta of the
-    identity; the word length k*n is the recorded upper bound."""
+    identity in C^3; the word length k*n is the recorded upper bound."""
     factors = _flow_factors(f)
     k = len(factors)
-    if C0 is None:
-        C0 = C0_CIRCLE if f.domain.is_circle else C0_LINE
+    C0 = C0_CIRCLE if f.domain.is_circle else C0_LINE
     if k > C0:
         raise CertificateError(f"{k} flow factors exceed the allowed {C0}")
     grid = GridSpec(lo=0.0, hi=1.0, n=65)
     n = 1
     while n < 2**40:
         roots = [FlowMap(m.X, m.t / n) for m in factors]
-        if all(cr_distance(g, Identity(), r, grid, refine=False) < eta
+        if all(cr_distance(g, Identity(), 3, grid, refine=False) < eta
                for g in roots):
             break
         n *= 2
@@ -360,7 +348,7 @@ def flow_root_decomposition(f: Diffeo1D, eta: float, C0: int = None,
         word.extend([(i, 1)] * n)
     composed = word_to_diffeo(roots, word)
     xs = np.linspace(0.05, 0.95, 33)
-    res = max(abs(composed(float(x)) - f(float(x))) for x in xs)
+    res = jet_gap(composed, f, xs, 0)
     return DecompositionRecord(eta=eta, C=C0, generating_set=roots,
                                word=word, recorded_A_upper=k * n,
                                residual_c0=res)

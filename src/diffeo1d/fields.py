@@ -30,9 +30,6 @@ class Interval:
     lo: float = 0.0
     hi: float = 1.0
 
-    def contains(self, x: float, tol: float = 1e-9) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
-
     @property
     def is_circle(self) -> bool:
         return False
@@ -41,9 +38,6 @@ class Interval:
 @dataclass(frozen=True)
 class Circle:
     """The circle R/Z; evaluation happens on lifts."""
-
-    def contains(self, x: float, tol: float = 1e-9) -> bool:
-        return True
 
     @property
     def is_circle(self) -> bool:
@@ -129,23 +123,6 @@ class PolynomialField(VectorField1D):
 
     def params(self):
         return {"coeffs": list(self.coeffs), "zeros": list(self.zeros)}
-
-
-def _flat_germ_jet(x: float, r: int, sign: float = 1.0) -> Jet:
-    """Jet of ``exp(-1/x)`` for x > 0, identically 0 for x <= 0.
-
-    With ``sign=-1`` evaluates the mirrored germ ``exp(1/x)`` for x < 0.
-    """
-    x = float(x)
-    if sign < 0:
-        inner = _flat_germ_jet(-x, r)
-        coeffs = tuple(c * (-1.0) ** k for k, c in enumerate(inner.coeffs))
-        return Jet(x, r, coeffs)
-    if x <= 0.0 or 1.0 / x > 700.0:
-        return Jet.constant(x, 0.0, r)
-    xj = Jet.identity(x, r)
-    minus_inv = jet_scale(jet_reciprocal(xj), -1.0)
-    return jet_exp(minus_inv)
 
 
 class StepField(VectorField1D):
@@ -251,11 +228,11 @@ class FlatGermField(VectorField1D):
     def eval_jet(self, x, r):
         if self.side == "right":
             u = (x - self.point) / self.scale
-            base = _flat_germ_jet(u, r)
+            base = _flat_germ_jet_of(Jet.identity(u, r))
             coeffs = tuple(c / self.scale**k for k, c in enumerate(base.coeffs))
         else:
             u = (self.point - x) / self.scale
-            base = _flat_germ_jet(u, r)
+            base = _flat_germ_jet_of(Jet.identity(u, r))
             coeffs = tuple(
                 c * (-1.0) ** k / self.scale**k for k, c in enumerate(base.coeffs)
             )

@@ -61,9 +61,6 @@ class Jet:
             raise JetError("jet has no first derivative (order 0)")
         return self.coeffs[1]
 
-    def deriv(self, k: int) -> float:
-        return self.coeffs[k]
-
     # -- conversions -------------------------------------------------------
 
     def series(self) -> np.ndarray:

@@ -104,18 +104,13 @@ class ChartConjugated(Diffeo1D):
         pad = 0.25
         self._lo = flow(X, self.window[0] - pad, self.p, 0).value
         self._hi = flow(X, self.window[1] + pad, self.p, 0).value
+        self._conjugate = Compose(FlowChart(X, self.p), phi,
+                                  FlowChartInverse(X, self.p))
 
     def eval_jet(self, x, r):
-        from .jets import jet_compose
-
         if not (self._lo < x < self._hi):
             return Jet.identity(x, r)
-        chart = FlowChart(self.X, self.p)
-        tj = chart.inverse().eval_jet(x, r)
-        if r == 0:
-            return Jet(x, 0, (chart(self.phi(tj.value)),))
-        out = jet_compose(self.phi.eval_jet(tj.value, r), tj)
-        return jet_compose(chart.eval_jet(out.value, r), out)
+        return self._conjugate.eval_jet(x, r)
 
     def inverse_value(self, y):
         if not (self._lo < y < self._hi):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
-from .diffeos import Diffeo1D, Power
+from .diffeos import Diffeo1D, Power, jet_gap
 from .grid import GridSpec, expression_breakpoints
 
 
@@ -23,20 +23,10 @@ def cr_distance(f: Diffeo1D, g: Diffeo1D, r: int, grid: GridSpec = None,
         bps = expression_breakpoints(f) + expression_breakpoints(g)
         grid = GridSpec(breakpoints=tuple(sorted(set(bps))))
 
-    def sup_on(spec):
-        best = 0.0
-        for x in spec.nodes():
-            a = f.eval_jet(float(x), r)
-            b = g.eval_jet(float(x), r)
-            d = max(abs(u - v) for u, v in zip(a.coeffs, b.coeffs))
-            if d > best:
-                best = d
-        return best
-
-    val = sup_on(grid)
+    val = jet_gap(f, g, grid.nodes(), r)
     while refine:
         grid = grid.refined()
-        nxt = sup_on(grid)
+        nxt = jet_gap(f, g, grid.nodes(), r)
         if nxt <= val * 1.01 + 1e-15:
             return nxt
         val = nxt
@@ -45,15 +35,10 @@ def cr_distance(f: Diffeo1D, g: Diffeo1D, r: int, grid: GridSpec = None,
     return val
 
 
-def dr_to_identity(f: Diffeo1D, r: int, grid: GridSpec = None) -> float:
-    from .diffeos import Identity
-    return cr_distance(f, Identity(f.domain), r, grid)
-
-
-def var_log_derivative(f: Diffeo1D, lo: float = None, hi: float = None) -> float:
-    """Total variation of log Df, computed as the integral of |D2 f / Df|."""
-    lo = f.domain.lo if lo is None else lo
-    hi = f.domain.hi if hi is None else hi
+def var_log_derivative(f: Diffeo1D) -> float:
+    """Total variation of log Df over the domain, computed as the integral of
+    |D2 f / Df|."""
+    lo, hi = f.domain.lo, f.domain.hi
     pts = [b for b in expression_breakpoints(f) if lo < b < hi]
 
     def integrand(x):
@@ -83,17 +68,18 @@ def asymptotic_variation(f: Diffeo1D, n_max: int) -> dict:
     return {"sequence": seq, "estimate": min(seq), "slope_fit": slope}
 
 
-def rotation_number(f: Diffeo1D, iterations: int = 256, x0: float = 0.0):
-    """Birkhoff estimate (F^n(x)-x)/n from the lift, rounded to a rational
-    when one lies within 1/(2n)."""
+def rotation_number(f: Diffeo1D):
+    """Birkhoff estimate F^n(0)/n from the lift with n = 256, rounded to a
+    rational when one lies within 1/(2n)."""
     if not f.domain.is_circle:
         raise ValueError("rotation number needs a circle diffeomorphism")
-    y = float(x0)
-    for _ in range(iterations):
+    n = 256
+    y = 0.0
+    for _ in range(n):
         y = f(y)
-    est = (y - x0) / iterations
-    frac = Fraction(est).limit_denominator(max(2, int(math.isqrt(iterations))))
-    if abs(float(frac) - est) < 1.0 / (2 * iterations):
+    est = y / n
+    frac = Fraction(est).limit_denominator(max(2, int(math.isqrt(n))))
+    if abs(float(frac) - est) < 1.0 / (2 * n):
         return frac
     return est
 
@@ -127,10 +113,11 @@ def liouville_cocycle(f: Diffeo1D, x: float, y: float) -> float:
     return jx.d1 * jy.d1 / (jx.value - jy.value) ** 2 - 1.0 / (x - y) ** 2
 
 
-def liouville_length(f: Diffeo1D, n_nodes: int = 80) -> float:
+def liouville_length(f: Diffeo1D) -> float:
     """L^1 norm of the cocycle over the unit square, by tensor-product
-    Gauss-Legendre quadrature (deterministic, diagonal handled by the tube
-    rule of the cocycle)."""
+    Gauss-Legendre quadrature on 80 nodes per axis (deterministic, diagonal
+    handled by the tube rule of the cocycle)."""
+    n_nodes = 80
     xs, ws = np.polynomial.legendre.leggauss(n_nodes)
     xs = 0.5 * (xs + 1.0)
     ws = 0.5 * ws

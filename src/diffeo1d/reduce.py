@@ -28,6 +28,7 @@ from .diffeos import (
     Power,
     Rotation,
     flow,
+    jet_gap,
 )
 from .fields import (
     AffinePushforwardField,
@@ -593,19 +594,6 @@ class ReductionInput:
         return left, right
 
 
-def _jet_mismatch(phi, ref, pts, r):
-    """Worst jet mismatch between phi and ref at the points pts.
-
-    A power-of-f tag takes ref = FlowMap(X, n): f is the time-1 map of X,
-    so f^n is the time-n map, one flow in place of |n| jet compositions.
-    """
-    return max(
-        max(abs(a - b) for a, b in
-            zip(phi.eval_jet(float(x), r).coeffs,
-                ref.eval_jet(float(x), r).coeffs))
-        for x in pts)
-
-
 # ---------------------------------------------------------------------------
 # the integer-offset driver
 # ---------------------------------------------------------------------------
@@ -647,8 +635,9 @@ def _boundary_tags_iti(phi, X, x0, x1, sigma_int, r):
     # the prepared span, so start the check past the shifted image of x1
     lo = flow(X, max(0.0, -float(sigma_int)), x1, 0).value
     pts1 = lo + (1.0 - lo) * np.array([0.25, 0.5, 0.75])
-    res0 = _jet_mismatch(phi, Identity(), pts0, r)
-    res1 = _jet_mismatch(phi, FlowMap(X, float(sigma_int)), pts1, r)
+    res0 = jet_gap(phi, Identity(), pts0, r)
+    # f is the time-1 map of X, so f^n is one time-n flow
+    res1 = jet_gap(phi, FlowMap(X, float(sigma_int)), pts1, r)
     return [BoundaryTag(0.0, "identity", 0.0, res0),
             BoundaryTag(1.0, "power_of_f", float(sigma_int), res1)]
 
@@ -907,9 +896,9 @@ def _reduce_case2(X, f, eta_flow, r, eta_prep):
     pts1 = lo1 + (1.0 - lo1) * np.array([0.25, 0.5, 0.75])
     tags = [
         BoundaryTag(0.0, "power_of_f", float(k0),
-                    _jet_mismatch(phi, FlowMap(X, float(k0)), pts0, r)),
+                    jet_gap(phi, FlowMap(X, float(k0)), pts0, r)),
         BoundaryTag(1.0, "power_of_f", float(k1),
-                    _jet_mismatch(phi, FlowMap(X, float(k1)), pts1, r)),
+                    jet_gap(phi, FlowMap(X, float(k1)), pts1, r)),
     ]
     d_iso = cr_distance(g, Identity(), r, GridSpec(0.0, 1.0, 128))
     return ReductionStep(
@@ -999,9 +988,9 @@ def _flatten_blocks(X, zeros, epsilon, r):
     pts0 = [1e-3 / lam_star, 1e-2 / lam_star]
     tags = [
         BoundaryTag(0.0, "homothety", lam_star,
-                    _jet_mismatch(phi, Homothety(0.0, lam_star), pts0, r)),
+                    jet_gap(phi, Homothety(0.0, lam_star), pts0, r)),
         BoundaryTag(1.0, "homothety", lam_star,
-                    _jet_mismatch(phi, Homothety(1.0, lam_star),
+                    jet_gap(phi, Homothety(1.0, lam_star),
                                   [1.0 - p for p in pts0], r)),
     ]
     return ReductionStep(
@@ -1177,9 +1166,9 @@ def normalize_rational(f: Diffeo1D, p: int, q: int) -> NormalizationResult:
         pieces.append(Compose(Rotation(j * p / q), Power(f, -j)))
     breaks = [m / q for m in range(1, q)]
     phi = PiecewiseGlue(breaks, pieces, domain=Circle(), gluing_order=2)
-    jet_gap = phi.check_gluing(r=2, tol=float("inf"))
-    if jet_gap > 1e-7:
-        raise ReduceError(f"conjugator jets mismatch at arc ends: {jet_gap}")
+    gap = phi.check_gluing(r=2)
+    if gap > 1e-7:
+        raise ReduceError(f"conjugator jets mismatch at arc ends: {gap}")
     normalized = Compose(phi, f, InverseMap(phi))
     # the conjugation sweeps every copy of the perturbation into the arc
     # where the piece index wraps from q-1 back to 0; elsewhere the normal
@@ -1188,5 +1177,5 @@ def normalize_rational(f: Diffeo1D, p: int, q: int) -> NormalizationResult:
     res = _circle_dist(normalized, R,
                        [m / q + 0.5 / q for m in range(q) if m != m_star])
     return NormalizationResult(normalized, phi, 2,
-                               {"jet_gap": jet_gap, "off_arc_residual": res,
+                               {"jet_gap": gap, "off_arc_residual": res,
                                 "carrier_arc": m_star})

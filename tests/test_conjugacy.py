@@ -9,11 +9,18 @@ from diffeo1d.conjugacy import (
     ConjugacyError,
     OrbitConjugator,
     TransitConjugator,
-    germ_residual,
+    conjugacy_residuals,
     sigma_offset,
     synthesize_conjugacy,
 )
-from diffeo1d.diffeos import Affine, Compose, FlowMap, Identity, transit_time
+from diffeo1d.diffeos import (
+    Affine,
+    Compose,
+    FlowMap,
+    Identity,
+    jet_gap,
+    transit_time,
+)
 from diffeo1d.fields import (
     AffinePushforwardField,
     BumpField,
@@ -28,7 +35,8 @@ PARABOLIC = PolynomialField([0.0, 0.0, 1.0, -2.0, 1.0], zeros=(0.0, 1.0))
 
 def test_germ_residual_trivial():
     f = FlowMap(LOGISTIC, 1.0)
-    assert germ_residual(Identity(), f, f, np.linspace(0.02, 0.1, 9)) < 1e-12
+    assert conjugacy_residuals(Identity(), f, f, 0,
+                               np.linspace(0.02, 0.1, 9)) < 1e-12
 
 
 def test_sigma_offset_identity_pair():
@@ -68,6 +76,22 @@ def test_orbit_conjugator_needs_forward_dynamics():
     f = FlowMap(LOGISTIC, -1.0)  # f < id on (0,1)
     with pytest.raises(ConjugacyError):
         OrbitConjugator(f, f, Identity(), 0.1)
+
+
+@pytest.mark.parametrize("phi", [
+    Affine(0.5, 0.25, domain=Interval(0.0, 1.0)),
+    FlowMap(ScaledField(BumpField(0.05, 0.2, 0.8, 0.95), 0.03), 1.0),
+], ids=["affine", "bump_flow"])
+def test_orbit_conjugator_reproduces_global_conjugator(phi):
+    # phi conjugates f to g everywhere, so g^n phi f^-n is phi itself at
+    # every orbit depth n (here -2 at x = 0.02 up to 5 at x = 0.97)
+    f = FlowMap(LOGISTIC, 1.0)
+    g = Compose(phi, f, phi.inverse())
+    orbit = OrbitConjugator(f, g, phi, 0.1)
+    xs = (0.02, 0.3, 0.6, 0.9, 0.97)
+    assert jet_gap(orbit, phi, xs, 2) < 1e-10
+    for x in xs:
+        assert abs(orbit.inverse_value(phi(x)) - x) < 1e-10
 
 
 def test_flow_pushforward_recovered():

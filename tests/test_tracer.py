@@ -7,7 +7,7 @@ from pathlib import Path
 
 import scipy.integrate
 
-from diffeo1d import conjugacy, diffeos, reduce
+from diffeo1d import conjugacy, diffeos, distortion, metrics, reduce
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -18,7 +18,13 @@ def test_tracer_installs_and_restores():
     spec.loader.exec_module(tracer_mod)
     bindings = [(reduce, "calibrate_flow_eta"), (reduce, "flatten_field"),
                 (reduce, "interpolate_ITI"), (reduce, "quad"),
-                (conjugacy, "conjugacy_residuals"), (diffeos, "flow")]
+                (conjugacy, "conjugacy_residuals"),
+                (conjugacy, "synthesize_conjugacy"), (diffeos, "flow"),
+                (diffeos, "transit_time"), (metrics, "cr_distance"),
+                (metrics, "var_log_derivative"),
+                (metrics, "liouville_length"),
+                (distortion, "word_to_diffeo"),
+                (distortion, "build_interval_certificate")]
     originals = [getattr(mod, name) for mod, name in bindings]
     tracer = tracer_mod.Tracer()
     try:
