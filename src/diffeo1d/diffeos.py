@@ -20,6 +20,10 @@ from .jets import Jet, JetError, jet_compose, jet_divide, jet_invert
 #: Default per-step integrator tolerance for flow maps.
 FLOW_TOL = 1e-12
 
+#: Tightest relative tolerance scipy's solve_ivp runs at (100 machine
+#: epsilons); it raises a smaller request to this value with a warning.
+FLOW_TOL_MIN = 100 * np.finfo(float).eps
+
 #: Above this |t| a value-only flow is computed by inverting the transit
 #: time instead of stepping the ODE, which would need ~|t|/step_size steps.
 LONG_TIME_SWITCH = 32.0

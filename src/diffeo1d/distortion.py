@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffeos import Compose, Diffeo1D, FlowMap, Identity, Power, flow, jet_gap
+from .diffeos import (FLOW_TOL_MIN, Compose, Diffeo1D, FlowMap, Identity,
+                      Power, flow, jet_gap)
 from .fields import BumpField, ScaledField, VectorField1D, field_norm
 from .grid import GridSpec
 from .metrics import cr_distance
@@ -131,7 +132,8 @@ def _scaled_push(interval, p, direction, cover, clear):
     def push(c):
         # tighter than the default flow tolerance: the certificate words
         # compose dozens of these letters
-        return FlowMap(ScaledField(base, direction * c), 1.0, tol=1e-14)
+        return FlowMap(ScaledField(base, direction * c), 1.0,
+                       tol=FLOW_TOL_MIN)
 
     a, b = interval
     w = b - a
