@@ -991,7 +991,7 @@ def _flatten_blocks(X, zeros, epsilon, r):
                     jet_gap(phi, Homothety(0.0, lam_star), pts0, r)),
         BoundaryTag(1.0, "homothety", lam_star,
                     jet_gap(phi, Homothety(1.0, lam_star),
-                                  [1.0 - p for p in pts0], r)),
+                            [1.0 - p for p in pts0], r)),
     ]
     return ReductionStep(
         conjugator=phi, conjugate=g, dr_to_isometry=d_iso, r=r,
