@@ -9,19 +9,24 @@ with a circle domain evaluates the lift ``F`` with ``F(x+1) = F(x) + 1``.
 from __future__ import annotations
 
 import math
+import warnings
+from operator import mul
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
+from scipy.integrate._ivp import dop853_coefficients as _dop
 from scipy.optimize import brentq
 
 from .fields import Circle, Interval, VectorField1D
-from .jets import Jet, JetError, jet_compose, jet_divide, jet_invert
+from .jets import (Jet, JetError, compose_coeffs, jet_compose, jet_divide,
+                   jet_invert)
 
 #: Default per-step integrator tolerance for flow maps.
 FLOW_TOL = 1e-12
 
-#: Tightest relative tolerance scipy's solve_ivp runs at (100 machine
-#: epsilons); it raises a smaller request to this value with a warning.
+#: Tightest relative tolerance the flow stepper runs at (100 machine
+#: epsilons, scipy's floor for DOP853); a smaller request runs at this value
+#: with a warning.
 FLOW_TOL_MIN = 100 * np.finfo(float).eps
 
 #: Above this |t| a value-only flow is computed by inverting the transit
@@ -36,26 +41,6 @@ class FlowError(RuntimeError):
 # ---------------------------------------------------------------------------
 # flow integration with jet transport
 # ---------------------------------------------------------------------------
-
-def _flow_rhs(X: VectorField1D, x0: float, state: np.ndarray, r: int):
-    """Time derivative of the jet coefficients of the flow map at ``x0``.
-
-    The k-th spatial derivative of the flow satisfies the variational system
-    d/dt D^k phi_t = D^k (X o phi_t), evaluated by jet composition.
-    """
-    if not np.all(np.isfinite(state)):
-        return None
-    try:
-        if r == 0:
-            # order 0 needs only the field value; leaves may provide a fast
-            # scalar path that skips jet arithmetic entirely
-            return np.array([X(float(state[0]))])
-        xj = X.eval_jet(float(state[0]), r)
-        inner = Jet(x0, r, tuple(state))
-        return np.array(jet_compose(xj, inner).coeffs)
-    except (JetError, OverflowError, ZeroDivisionError):
-        return None
-
 
 def _flow_by_transit(X: VectorField1D, t: float, x: float):
     """Value of the time-``t`` flow by solving ``tau(x, y) = t`` for ``y``.
@@ -97,15 +82,80 @@ def _flow_by_transit(X: VectorField1D, t: float, x: float):
     return prev
 
 
+# DOP853 tableau rows as Python floats; fields are autonomous, so the stage
+# times C are not needed
+_STAGES = _dop.N_STAGES
+_A = tuple(tuple(map(float, row[:s]))
+           for s, row in enumerate(_dop.A[1:_STAGES], 1))
+_B, _E3, _E5 = (tuple(map(float, w)) for w in (_dop.B, _dop.E3, _dop.E5))
+
+
+def _dop853(fun, y, t, tol):
+    """State at time ``t`` of ``y' = fun(y)`` started from the list ``y``.
+
+    Dormand-Prince 8(5,3) with the step control of Hairer, Norsett & Wanner,
+    *Solving ODEs I* (2nd ed.), II.10, as scipy's ``DOP853`` runs it: first
+    step ``min(0.05, |t|)``, error scale ``atol + max(|y|, |y_new|) * rtol``
+    with ``rtol = max(tol, FLOW_TOL_MIN)`` and ``atol = tol``.  Returns None
+    when the step size falls below 10 ulp of the current time.
+    """
+    if tol < FLOW_TOL_MIN:
+        warnings.warn(f"rtol {tol} is too small; setting rtol = {FLOW_TOL_MIN}",
+                      stacklevel=3)
+    rtol, atol = max(tol, FLOW_TOL_MIN), tol
+    direction = math.copysign(1.0, t)
+    n = len(y)
+    f = fun(y)
+    s = 0.0
+    h_abs = min(0.05, abs(t))
+    while direction * (s - t) < 0.0:
+        min_step = 10.0 * abs(math.nextafter(s, direction * math.inf) - s)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return None
+            s_new = s + h_abs * direction
+            if direction * (s_new - t) > 0.0:
+                s_new = t
+            h = s_new - s
+            h_abs = abs(h)
+            # K[i] holds the stage derivatives of component i
+            K = [[v] for v in f]
+            for row in _A:
+                d = fun([v + sum(map(mul, row, k)) * h for v, k in zip(y, K)])
+                for k, v in zip(K, d):
+                    k.append(v)
+            y_new = [v + h * sum(map(mul, _B, k)) for v, k in zip(y, K)]
+            f_new = fun(y_new)
+            e5 = e3 = 0.0
+            for a, b, k, v in zip(y, y_new, K, f_new):
+                k.append(v)
+                scale = atol + max(abs(a), abs(b)) * rtol
+                e5 += (sum(map(mul, _E5, k)) / scale) ** 2
+                e3 += (sum(map(mul, _E3, k)) / scale) ** 2
+            err = (h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * n)
+                   if e5 or e3 else 0.0)
+            if err < 1.0:
+                factor = min(10.0, 0.9 * err ** -0.125) if err else 10.0
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.125)
+            rejected = True
+        s, y, f = s_new, y_new, f_new
+    return y
+
+
 def flow(X: VectorField1D, t: float, x: float, r: int = 0, tol: float = FLOW_TOL) -> Jet:
     """Jet of the time-``t`` flow map of ``X`` at ``x``, to order ``r``.
 
-    Adaptive high-order Runge-Kutta (DOP853) on the variational jet system;
-    relative and absolute tolerance ``tol``.
+    DOP853 (:func:`_dop853`) on the variational jet system
+    d/dt D^k phi_t = D^k (X o phi_t), with relative and absolute tolerance
+    ``tol``; a relative tolerance below ``FLOW_TOL_MIN`` runs at that floor.
     """
     x = float(x)
     t = float(t)
-    state = np.array(Jet.identity(x, r).coeffs) if r >= 1 else np.array([x])
+    state = list(Jet.identity(x, r).coeffs)
     if t == 0.0:
         return Jet(x, r, tuple(state))
     if r == 0 and abs(t) >= LONG_TIME_SWITCH:
@@ -113,17 +163,21 @@ def flow(X: VectorField1D, t: float, x: float, r: int = 0, tol: float = FLOW_TOL
         if y is not None:
             return Jet(x, 0, (float(y),))
 
-    def rhs(_s, y):
-        d = _flow_rhs(X, x, y, r)
-        if d is None:
-            raise FlowError(f"flow left the evaluable region at x={x}, t={t}")
-        return d
+    def rhs(y):
+        try:
+            if all(map(math.isfinite, y)):
+                if r == 0:
+                    return [X(y[0])]
+                return compose_coeffs(X.eval_jet(y[0], r).coeffs, y)
+        except (JetError, OverflowError, ZeroDivisionError):
+            pass
+        raise FlowError(f"flow left the evaluable region at x={x}, t={t}")
 
-    sol = solve_ivp(rhs, (0.0, t), state, method="DOP853", rtol=tol,
-                    atol=tol, first_step=min(0.05, abs(t)))
-    if not sol.success:
-        raise FlowError(f"flow integration failed at x={x}, t={t}: {sol.message}")
-    return Jet(x, r, tuple(sol.y[:, -1]))
+    y = _dop853(rhs, state, t, tol)
+    if y is None:
+        raise FlowError(f"flow integration failed at x={x}, t={t}: Required "
+                        "step size is less than spacing between numbers.")
+    return Jet(x, r, tuple(y))
 
 
 def transit_time(X: VectorField1D, p: float, q: float) -> float:
@@ -348,7 +402,10 @@ class FlowMap(Diffeo1D):
         return FlowMap(self.X, -self.t, self.tol)
 
     def params(self):
-        return {"t": self.t}
+        # the default tolerance is left out, so default flows keep their JSON
+        if self.tol == FLOW_TOL:
+            return {"t": self.t}
+        return {"t": self.t, "tol": self.tol}
 
     def children(self):
         return (self.X,)

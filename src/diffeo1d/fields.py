@@ -121,6 +121,14 @@ class PolynomialField(VectorField1D):
             derivs.append(s)
         return Jet(x, r, tuple(derivs))
 
+    def __call__(self, x):
+        # the order-0 sum of eval_jet term by term, so both agree bit for bit
+        x = float(x)
+        s = 0.0
+        for j, c in enumerate(self.coeffs):
+            s += c * x ** j
+        return s
+
     def params(self):
         return {"coeffs": list(self.coeffs), "zeros": list(self.zeros)}
 

@@ -131,23 +131,6 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     return Jet(a.base_point, r, tuple(out))
 
 
-def _series_compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Compose truncated Taylor series (constant term of ``inner`` ignored).
-
-    Both arrays have length r+1; returns the series of outer(inner(h)) in h,
-    truncated to the same length, by Horner evaluation in the ring of
-    truncated polynomials.
-    """
-    r = len(outer) - 1
-    g = inner.copy()
-    g[0] = 0.0
-    acc = np.zeros(r + 1)
-    for c in outer[::-1]:
-        acc = _poly_mul_trunc(acc, g, r)
-        acc[0] += c
-    return acc
-
-
 def _poly_mul_trunc(p: np.ndarray, q: np.ndarray, r: int) -> np.ndarray:
     out = np.zeros(r + 1)
     for i, pi in enumerate(p):
@@ -156,6 +139,30 @@ def _poly_mul_trunc(p: np.ndarray, q: np.ndarray, r: int) -> np.ndarray:
         hi = r - i + 1
         out[i : i + hi] += pi * q[:hi]
     return out
+
+
+def compose_coeffs(outer, inner) -> tuple:
+    """Raw coefficients of ``outer o inner`` from those of the two jets.
+
+    Horner evaluation of the outer Taylor series in the ring of series
+    truncated at order r, on Python floats; the value of ``inner`` is
+    ignored (it is the base point of ``outer``).
+    """
+    r = len(outer) - 1
+    g = [c / _FACTORIALS[k] for k, c in enumerate(inner)]
+    acc = [0.0] * (r + 1)
+    for k in range(r, -1, -1):
+        prod = [0.0] * (r + 1)
+        for i, p in enumerate(acc):
+            if p == 0.0:
+                continue
+            # j starts at 1: the constant term of g is dropped
+            for j in range(1, r - i + 1):
+                prod[i + j] += p * g[j]
+        prod[0] += outer[k] / _FACTORIALS[k]
+        acc = prod
+    acc[0] = outer[0]
+    return tuple(c * _FACTORIALS[k] for k, c in enumerate(acc))
 
 
 def jet_compose(outer: Jet, inner: Jet) -> Jet:
@@ -167,9 +174,8 @@ def jet_compose(outer: Jet, inner: Jet) -> Jet:
             "composition base-point mismatch: outer is based at "
             f"{outer.base_point}, inner value is {inner.value}"
         )
-    series = _series_compose(outer.series(), inner.series())
-    series[0] = outer.coeffs[0]
-    return Jet.from_series(inner.base_point, series)
+    return Jet(inner.base_point, inner.order,
+               compose_coeffs(outer.coeffs, inner.coeffs))
 
 
 def jet_invert(a: Jet) -> Jet:

@@ -125,7 +125,7 @@ def _build(node, expect: str):
     if expect == "diffeo":
         if kind == "flow":
             X = _build(raw_children[0], "field")
-            return D.FlowMap(X, params["t"])
+            return D.FlowMap(X, params["t"], params.get("tol", D.FLOW_TOL))
         if kind == "displacement":
             d = _build(raw_children[0], "field")
             return D.Displacement(d)

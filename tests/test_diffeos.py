@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from diffeo1d.diffeos import (
+    FLOW_TOL_MIN,
     Affine,
     CircleFromInterval,
     Compose,
@@ -30,6 +32,7 @@ from diffeo1d.fields import (
     PolynomialField,
     ScaledField,
 )
+from diffeo1d.jets import Jet, jet_compose
 
 LOGISTIC = PolynomialField([0.0, 1.0, -1.0], zeros=(0.0, 1.0))  # x(1-x)
 
@@ -85,6 +88,47 @@ def test_flow_jets_vs_composition():
     ab = jet_compose(b, a)
     for u, v in zip(ab.coeffs, c.coeffs):
         assert abs(u - v) < 1e-8
+
+
+def _solve_ivp_flow(X, t, x, r, tol):
+    """The flow jet from scipy's DOP853 on the variational system, with the
+    first step and tolerances ``flow`` runs."""
+    def rhs(_s, y):
+        if r == 0:
+            return [X(float(y[0]))]
+        return list(jet_compose(X.eval_jet(float(y[0]), r),
+                                Jet(x, r, tuple(y))).coeffs)
+
+    sol = solve_ivp(rhs, (0.0, t), list(Jet.identity(x, r).coeffs),
+                    method="DOP853", rtol=max(tol, FLOW_TOL_MIN), atol=tol,
+                    first_step=min(0.05, abs(t)))
+    assert sol.success
+    return sol.y[:, -1]
+
+
+@pytest.mark.parametrize("X", [
+    LOGISTIC,
+    PolynomialField([0.0, 0.0, 1.0, -2.0, 1.0], zeros=(0.0, 1.0)),
+    ScaledField(BumpField(0.05, 0.2, 0.8, 0.95), 0.011),
+], ids=["logistic", "quartic", "bump"])
+def test_flow_matches_solve_ivp_reference(X):
+    # the in-module stepper runs scipy's DOP853 step control, so the two
+    # agree far inside the tolerance
+    for t in (1.0, -1.0, 3.0, -0.37):
+        for x in (0.1, 0.45, 0.9):
+            for r in (0, 2):
+                for tol in (1e-12, FLOW_TOL_MIN, 1e-9):
+                    got = flow(X, t, x, r, tol).coeffs
+                    ref = _solve_ivp_flow(X, t, x, r, tol)
+                    for u, v in zip(got, ref):
+                        assert abs(u - v) <= 1e-11 * max(1.0, abs(v))
+
+
+@pytest.mark.parametrize("r", [0, 2])
+def test_flow_blow_up_raises(r):
+    # x' = x^2 from 1 blows up at t = 1
+    with pytest.raises(FlowError, match=r"x=1\.0, t=2\.0"):
+        flow(PolynomialField([0.0, 0.0, 1.0]), 2.0, 1.0, r)
 
 
 def test_long_time_flow_matches_stepped_integration():

@@ -62,11 +62,14 @@ def test_bump_support_and_plateau():
 
 
 def test_fast_value_path_matches_jets():
-    # StepField/BumpField/ScaledField carry a closed-form value path used by
-    # order-0 flow integration; it must agree with the jet pipeline bit for bit
+    # StepField/BumpField/ScaledField/PolynomialField carry a value path used
+    # by order-0 flow integration; it must agree with the jet pipeline bit for
+    # bit
     nodes = np.linspace(-0.2, 1.2, 357)
     for f in (StepField(0.2, 0.8), BumpField(0.1, 0.3, 0.6, 0.9),
-              ScaledField(BumpField(0.0, 0.25, 0.5, 0.75), -1.7)):
+              ScaledField(BumpField(0.0, 0.25, 0.5, 0.75), -1.7),
+              PolynomialField([0.0, 1.0, -1.0], zeros=(0.0, 1.0)),
+              PolynomialField([0.0, 0.0, 1.0, -2.0, 1.0], zeros=(0.0, 1.0))):
         for v in nodes:
             assert f(float(v)) == f.eval_jet(float(v), 0).value
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diffeo1d.diffeos import (
+    FLOW_TOL_MIN,
     Affine,
     CircleFromInterval,
     Compose,
@@ -106,6 +107,17 @@ def test_loads_entry_point():
     assert abs(g(0.5) - FlowMap(LOGISTIC, 0.5)(0.5)) < 1e-15
     with pytest.raises(SerializeError):
         loads(s, expect="graph")
+
+
+def test_flow_tolerance_survives():
+    f = FlowMap(LOGISTIC, 1.0, tol=FLOW_TOL_MIN)
+    assert loads(dumps(f)).tol == FLOW_TOL_MIN
+    assert loads(dumps(Power(f, 2))).child.tol == FLOW_TOL_MIN
+    # a flow at the default tolerance keeps its JSON
+    assert dumps(FlowMap(LOGISTIC, 1.0)) == (
+        '{"children":[{"children":[],"kind":"polynomial","params":'
+        '{"coeffs":[0.0,1.0,-1.0],"zeros":[0.0,1.0]}}],"kind":"flow",'
+        '"params":{"t":1.0}}')
 
 
 def test_unsupported_nodes_raise():
