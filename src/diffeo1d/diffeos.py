@@ -84,9 +84,8 @@ def _flow_by_transit(X: VectorField1D, t: float, x: float):
 
 # DOP853 tableau rows as Python floats; fields are autonomous, so the stage
 # times C are not needed
-_STAGES = _dop.N_STAGES
 _A = tuple(tuple(map(float, row[:s]))
-           for s, row in enumerate(_dop.A[1:_STAGES], 1))
+           for s, row in enumerate(_dop.A[1:_dop.N_STAGES], 1))
 _B, _E3, _E5 = (tuple(map(float, w)) for w in (_dop.B, _dop.E3, _dop.E5))
 
 
@@ -132,8 +131,11 @@ def _dop853(fun, y, t, tol):
             for a, b, k, v in zip(y, y_new, K, f_new):
                 k.append(v)
                 scale = atol + max(abs(a), abs(b)) * rtol
-                e5 += (sum(map(mul, _E5, k)) / scale) ** 2
-                e3 += (sum(map(mul, _E3, k)) / scale) ** 2
+                # products, not ** 2: float powers raise on overflow
+                u = sum(map(mul, _E5, k)) / scale
+                w = sum(map(mul, _E3, k)) / scale
+                e5 += u * u
+                e3 += w * w
             err = (h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * n)
                    if e5 or e3 else 0.0)
             if err < 1.0:
