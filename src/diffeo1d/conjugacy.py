@@ -127,7 +127,6 @@ class TransitConjugator(Diffeo1D):
 @dataclass
 class ConjugacyWitness:
     phi: Diffeo1D
-    sigma: float
     residual_c0: float
     residual_cr: float
     r: int
@@ -135,7 +134,6 @@ class ConjugacyWitness:
 
     def to_json(self) -> dict:
         return {
-            "sigma": self.sigma,
             "residual_c0": self.residual_c0,
             "residual_cr": self.residual_cr,
             "r": self.r,
@@ -161,16 +159,12 @@ def conjugacy_residuals(phi: Diffeo1D, f: Diffeo1D, g: Diffeo1D, r: int,
 
 
 def synthesize_conjugacy(f: Diffeo1D, g: Diffeo1D, phi0: Diffeo1D,
-                         base_x: float, r: int = 2, grid: GridSpec = None,
-                         f_field: VectorField1D = None,
-                         g_field: VectorField1D = None,
-                         phi1: Diffeo1D = None,
-                         x_pair: tuple = None) -> ConjugacyWitness:
+                         base_x: float, r: int = 2,
+                         grid: GridSpec = None) -> ConjugacyWitness:
     """Build the forced conjugator and certify it on a grid.
 
     The germ phi0 must conjugate f to g on [base_x/2, f(base_x)] within the
-    germ tolerance.  When the generating fields and a germ at 1 are supplied,
-    sigma is computed from the transit-time formula; otherwise it is NaN.
+    germ tolerance.
     """
     germ_xs = np.linspace(base_x / 4, base_x, 17)
     res = conjugacy_residuals(phi0, f, g, 0, germ_xs)
@@ -185,8 +179,4 @@ def synthesize_conjugacy(f: Diffeo1D, g: Diffeo1D, phi0: Diffeo1D,
     # derivative residuals are much costlier per node; a sparse subgrid is
     # enough to catch a wrong chain rule
     cr = conjugacy_residuals(phi, f, g, r, xs[:: max(1, len(xs) // 16)])
-    sigma = float("nan")
-    if f_field is not None and g_field is not None and phi1 is not None:
-        x0, x1 = x_pair if x_pair else (base_x, 1.0 - base_x)
-        sigma = sigma_offset(f_field, g_field, phi0, phi1, x0, x1)
-    return ConjugacyWitness(phi, sigma, c0, cr, r, grid)
+    return ConjugacyWitness(phi, c0, cr, r, grid)

@@ -29,10 +29,6 @@ FLOW_TOL = 1e-12
 #: with a warning.
 FLOW_TOL_MIN = 100 * np.finfo(float).eps
 
-#: Above this |t| a value-only flow is computed by inverting the transit
-#: time instead of stepping the ODE, which would need ~|t|/step_size steps.
-LONG_TIME_SWITCH = 32.0
-
 
 class FlowError(RuntimeError):
     """Raised when flow integration or transit-time evaluation fails."""
@@ -41,46 +37,6 @@ class FlowError(RuntimeError):
 # ---------------------------------------------------------------------------
 # flow integration with jet transport
 # ---------------------------------------------------------------------------
-
-def _flow_by_transit(X: VectorField1D, t: float, x: float):
-    """Value of the time-``t`` flow by solving ``tau(x, y) = t`` for ``y``.
-
-    Only usable when the trajectory stays in a stretch where X keeps its
-    sign, which requires the neighbouring recorded zeros (or finite domain
-    ends) as a bracket.  Returns None when that data is missing, so the
-    caller can fall back to integration.
-    """
-    v = X(x)
-    if v == 0.0:
-        return x
-    zeros = sorted(getattr(X, "zeros", ()) or ())
-    lo = max((z for z in zeros if z < x), default=X.domain.lo)
-    hi = min((z for z in zeros if z > x), default=X.domain.hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return None
-    end = hi if (v > 0.0) == (t > 0.0) else lo
-
-    def g(y):
-        return transit_time(X, x, float(y)) - t
-
-    # g(x) = -t; push y toward the blocking end until the sign flips, then
-    # solve on the last subinterval
-    prev = x
-    for k in range(1, 64):
-        y_try = end - (end - x) * 0.5**k
-        try:
-            gy = g(y_try)
-        except FlowError:
-            return None
-        if not math.isfinite(gy):
-            return None
-        if (gy > 0.0) == (t > 0.0):
-            a, b = (prev, y_try) if prev < y_try else (y_try, prev)
-            return brentq(g, a, b, xtol=1e-300, rtol=8.9e-16)
-        prev = y_try
-    # the target time outruns quadrature resolution of tau near the zero
-    return prev
-
 
 # DOP853 tableau rows as Python floats; fields are autonomous, so the stage
 # times C are not needed
@@ -153,17 +109,18 @@ def flow(X: VectorField1D, t: float, x: float, r: int = 0, tol: float = FLOW_TOL
 
     DOP853 (:func:`_dop853`) on the variational jet system
     d/dt D^k phi_t = D^k (X o phi_t), with relative and absolute tolerance
-    ``tol``; a relative tolerance below ``FLOW_TOL_MIN`` runs at that floor.
+    ``tol``, for every ``t`` and ``r``; a relative tolerance below
+    ``FLOW_TOL_MIN`` runs at that floor.  The value never crosses a declared
+    zero of ``X``: it is clamped to the nearest ones below and above ``x``,
+    which on a circle domain are the lifts ``z + k`` of the declared zeros.
+    Domain ends are not zeros, so a field that does not vanish there flows
+    across them.
     """
     x = float(x)
     t = float(t)
     state = list(Jet.identity(x, r).coeffs)
     if t == 0.0:
         return Jet(x, r, tuple(state))
-    if r == 0 and abs(t) >= LONG_TIME_SWITCH:
-        y = _flow_by_transit(X, t, x)
-        if y is not None:
-            return Jet(x, 0, (float(y),))
 
     def rhs(y):
         try:
@@ -179,6 +136,16 @@ def flow(X: VectorField1D, t: float, x: float, r: int = 0, tol: float = FLOW_TOL
     if y is None:
         raise FlowError(f"flow integration failed at x={x}, t={t}: Required "
                         "step size is less than spacing between numbers.")
+    # an exact trajectory never crosses a zero of X, but a step that lands
+    # within the tolerance of one may; hold the value between the declared
+    # zeros that bracket x (on the circle, their lifts)
+    zeros = X.zeros
+    if X.domain.is_circle:
+        n = math.floor(x)
+        zeros = [z + k for z in zeros for k in (n - 1, n, n + 1)]
+    lo = max((z for z in zeros if z < x), default=-math.inf)
+    hi = min((z for z in zeros if z > x), default=math.inf)
+    y[0] = min(max(y[0], lo), hi)
     return Jet(x, r, tuple(y))
 
 

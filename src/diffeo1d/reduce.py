@@ -765,16 +765,6 @@ def reduce_no_interior_ITI(f_data, epsilon: float, r: int) -> ReductionStep:
     raise ReduceError(f"reduction failed after retries: {last_err}")
 
 
-def _diff_quad(F, G, lo, hi, pts):
-    def integrand(x):
-        a, b = F(x), G(x)
-        return (b - a) / (a * b)
-    pts = [p for p in pts if lo < p < hi]
-    val, _ = quad(integrand, lo, hi, points=pts or None, limit=400,
-                  epsabs=1e-10, epsrel=1e-13)
-    return val
-
-
 def _inv_quad(F, lo, hi, pts):
     pts = [p for p in pts if lo < p < hi]
     val, _ = quad(lambda x: 1.0 / F(x), lo, hi, points=pts or None,
@@ -839,14 +829,14 @@ def _reduce_case2(X, f, eta_flow, r, eta_prep):
     # tau_G(H a, H b) = tau_X(a, b): only the blend mismatch and a short
     # one-sided leg remain
     def sigma_left(mid):
-        return (_diff_quad(X, X_tilde, x0, mid, [x0 + b0, e1, e2])
+        return (_sigma_quad(X, X_tilde, x0, mid, [x0 + b0, e1, e2])
                 + _inv_quad(X, mid, c - W_L / lam, [e2])
                 - _inv_quad(X_tilde, mid, e2, []))
 
     def sigma_right(mid):
         return (_inv_quad(X, c + W_R / lam, mid, [e3])
                 - _inv_quad(X_tilde, e3, mid, [])
-                + _diff_quad(X, X_tilde, mid, x1, [e3, e4, x1 - b1]))
+                + _sigma_quad(X, X_tilde, mid, x1, [e3, e4, x1 - b1]))
 
     s_L, s_R = sigma_left(e2), sigma_right(e3)
     s_L2, s_R2 = sigma_left((e1 + e2) / 2), sigma_right((e3 + e4) / 2)

@@ -29,6 +29,7 @@ from diffeo1d.fields import (
     BumpField,
     ConstantField,
     Interval,
+    PeriodicField,
     PolynomialField,
     ScaledField,
 )
@@ -113,8 +114,8 @@ def _solve_ivp_flow(X, t, x, r, tol):
 ], ids=["logistic", "quartic", "bump"])
 def test_flow_matches_solve_ivp_reference(X):
     # the in-module stepper runs scipy's DOP853 step control, so the two
-    # agree far inside the tolerance
-    for t in (1.0, -1.0, 3.0, -0.37):
+    # agree far inside the tolerance, at long times too
+    for t in (1.0, -1.0, 3.0, -0.37, 40.0, -40.0):
         for x in (0.1, 0.45, 0.9):
             for r in (0, 2):
                 for tol in (1e-12, FLOW_TOL_MIN, 1e-9):
@@ -132,15 +133,29 @@ def test_flow_blow_up_raises(r):
 
 
 def test_long_time_flow_matches_stepped_integration():
-    # above the switch threshold the value comes from inverting the transit
-    # time; check against chained short flows
-    X = PolynomialField([0.0, 0.0, 1.0, -2.0, 1.0], zeros=(0.0, 1.0))
-    x0, t = 0.3, 40.0
-    stepped = x0
-    for _ in range(8):
-        stepped = flow(X, t / 8, stepped, 0).value
-    direct = flow(X, t, x0, 0).value
-    assert abs(direct - stepped) < 1e-9
+    # one long flow against eight chained short ones (flow additivity), on
+    # an interval field and on a circle field, which has no interval ends
+    quartic = PolynomialField([0.0, 0.0, 1.0, -2.0, 1.0], zeros=(0.0, 1.0))
+    circle = PeriodicField(ScaledField(BumpField(0.1, 0.3, 0.6, 0.9), 0.05))
+    for X, x0, bound in ((quartic, 0.3, 1e-9), (circle, 0.2, 1e-12)):
+        stepped = x0
+        for _ in range(8):
+            stepped = flow(X, 5.0, stepped, 0).value
+        assert abs(flow(X, 40.0, x0, 0).value - stepped) < bound
+
+
+@pytest.mark.parametrize("t", [40.0, 45.0, 100.0])
+def test_long_time_flow_stays_off_the_fixed_point(t):
+    # an exact trajectory never reaches a zero of the field, so the stepped
+    # value must not step past the declared zeros 1 (forward) and 0 (backward)
+    assert flow(LOGISTIC, t, 0.3).value <= 1.0
+    assert flow(LOGISTIC, -t, 0.7).value >= 0.0
+    # on the circle the declared zeros repeat with period 1; the periodized
+    # logistic field is positive on both sides of each integer, so a step
+    # past one runs on toward the next
+    P = PeriodicField(LOGISTIC)
+    assert flow(P, t, 1.3).value <= 2.0
+    assert flow(P, -t, 2.7).value >= 2.0
 
 
 def test_transit_time_same_point():
